@@ -32,9 +32,7 @@ Quickstart::
 :class:`QueryTarget` surface over a local store, a single
 :mod:`repro.server` process, and a :mod:`repro.cluster` router, and its
 ``query()`` results are bit-identical across the three (see
-``docs/api.md`` for the migration table from the deprecated
-``open_store`` / ``StoreClient`` entrypoints, which remain as shims
-that emit a :class:`DeprecationWarning`).
+``docs/api.md``).
 
 Error taxonomy: every exception the library raises roots at
 :class:`api.ReproError`; the full tree — codec, store, serving, and
@@ -45,7 +43,6 @@ router's failover keys off — is re-exported as one import surface by
 
 from __future__ import annotations
 
-import warnings
 from typing import Sequence
 
 import numpy as np
@@ -89,7 +86,6 @@ from repro.api.targets import (
     LocalTarget,
     QueryTarget,
     RemoteTarget,
-    build_engine as _build_engine,
     connect,
 )
 from repro.store.engine import QueryEngine, QueryResult
@@ -123,7 +119,6 @@ __all__ = [
     "LocalTarget",
     "RemoteTarget",
     # Store
-    "open_store",
     "migrate_store",
     "PostingStore",
     "WritablePostingStore",
@@ -201,65 +196,3 @@ def intersect(*sets: CompressedIntegerSet) -> np.ndarray:
 def union(*sets: CompressedIntegerSet) -> np.ndarray:
     """Union compressed sets (one codec per call)."""
     return merge_union(list(sets))
-
-
-def open_store(
-    directory: str,
-    *,
-    strict: bool = True,
-    cache_entries: int = 256,
-    max_workers: int = 4,
-    timeout_s: float | None = None,
-    writable: bool = False,
-    compact_interval_s: float = 0.0,
-    mapped: bool | None = None,
-) -> QueryEngine:
-    """Deprecated: load a saved store into a ready-to-query engine.
-
-    Use :func:`connect` instead — ``api.connect(directory, **options)``
-    takes the same options, returns the uniform :class:`QueryTarget`
-    surface, and keeps the engine reachable as ``target.engine`` for
-    the in-process extras (``execute_batch``, ``explain``,
-    ``engine.store``).  This shim emits exactly one
-    :class:`DeprecationWarning` and will be removed with the next major
-    version.
-
-    Args:
-        directory: a directory written by :meth:`PostingStore.save`.
-        strict: raise :class:`ShardLoadError` on the first corrupt list
-            (default), or load leniently and serve degraded (queries
-            touching lost terms come back ``partial``).
-        cache_entries: decode-cache size; ``0`` disables caching.
-        max_workers: batch worker-pool width.
-        timeout_s: default per-query deadline (``None`` = unbounded).
-        writable: open as a :class:`WritablePostingStore` instead —
-            creates the directory if absent, replays any WAL left by a
-            crash, and accepts ``engine.store.append(...)`` /
-            ``ingest_batch(...)``.  Call ``engine.store.close()`` when
-            done to seal pending writes into compressed segments.
-        compact_interval_s: with ``writable``, start the background
-            compaction thread at this period (``0`` keeps compaction
-            manual: ``engine.store.compact()``).
-        mapped: with ``writable``, select the persistence layout —
-            ``True`` for v3 memory-mapped segments (migrating a legacy
-            directory in place first), ``False`` for per-term v2 files,
-            ``None`` (default) to inherit the on-disk format.  A
-            read-only open always serves whichever layout the manifest
-            records (v3 stores open zero-copy automatically).
-    """
-    warnings.warn(
-        "repro.api.open_store() is deprecated; use repro.api.connect"
-        "(directory, ...) and reach the engine via target.engine",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_engine(
-        directory,
-        strict=strict,
-        cache_entries=cache_entries,
-        max_workers=max_workers,
-        timeout_s=timeout_s,
-        writable=writable,
-        compact_interval_s=compact_interval_s,
-        mapped=mapped,
-    )

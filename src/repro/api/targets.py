@@ -1,17 +1,10 @@
 """``connect()``: one chokepoint, one protocol, three deployment shapes.
 
-Historically the library had three entrypoints that all meant "give me
-something I can query": :func:`repro.api.open_store` (an in-process
-:class:`~repro.store.engine.QueryEngine`), ``StoreClient(host, port)``
-(one HTTP server), and hand-assembled router stacks for multi-backend
-serving.  Each returned a different type with a different calling
-convention and a different result shape.
-
-:func:`connect` collapses them: it accepts a *target* — a store
-directory, an ``http://host:port`` URL (single server **or** cluster
-router; they speak the same wire protocol), or an already-built
-:class:`QueryEngine` — and returns a :class:`QueryTarget`, a uniform
-four-method surface::
+:func:`connect` is the only way to get "something I can query": it
+accepts a *target* — a store directory, an ``http://host:port`` URL
+(single server **or** cluster router; they speak the same wire
+protocol), or an already-built :class:`QueryEngine` — and returns a
+:class:`QueryTarget`, a uniform four-method surface::
 
     with api.connect("/data/index") as t:          # local store
         r = t.query(api.And("news", "2024"))
@@ -27,9 +20,11 @@ changing only the target string.
 
 from __future__ import annotations
 
+import time
 from typing import Protocol, Sequence, runtime_checkable
 from urllib.parse import urlsplit
 
+from repro.api.errors import QueryRejectedError
 from repro.server.client import StoreClient
 from repro.server.protocol import (
     IngestResponse,
@@ -38,7 +33,7 @@ from repro.server.protocol import (
 )
 from repro.store.cache import DecodeCache
 from repro.store.engine import QueryEngine
-from repro.store.plan import QueryLike
+from repro.store.plan import Query, QueryLike, parse_query
 from repro.store.segments import WritablePostingStore
 from repro.store.store import PostingStore
 
@@ -99,15 +94,9 @@ class LocalTarget:
         strict: bool = False,
         deadline_ms: float | None = None,
     ) -> QueryResponse:
-        from repro.store.plan import Query, parse_query
-
-        try:
-            expression = parse_query(query)
-        except (TypeError, ValueError):
-            raise  # same client-side rejection StoreClient.query applies
         result = self.engine.execute(
             Query(
-                expression=expression,
+                expression=parse_query(query),
                 shards=tuple(shards) if shards is not None else None,
                 query_id=query_id,
             ),
@@ -122,10 +111,6 @@ class LocalTarget:
         with; execution failures come back as a ``failed`` response, not
         an exception — exactly what a remote caller would see.
         """
-        import time
-
-        from repro.server.client import QueryRejectedError
-
         store = self.engine.store
         if not isinstance(store, WritablePostingStore):
             raise QueryRejectedError("store is read-only; connect with writable=True")
@@ -229,17 +214,28 @@ def build_engine(
     timeout_s: float | None = None,
     writable: bool = False,
     compact_interval_s: float = 0.0,
-    mapped: bool | None = None,
 ) -> QueryEngine:
-    """Load a saved store into a ready engine (no deprecation warning).
+    """Load a saved store into a ready engine — :func:`connect`'s local path.
 
-    This is the implementation behind both :func:`connect` (local
-    targets) and the deprecated :func:`repro.api.open_store` shim; see
-    the shim's docstring for parameter semantics.
+    Args:
+        directory: a directory written by :meth:`PostingStore.save`.
+        strict: raise :class:`ShardLoadError` on the first corrupt list
+            (default), or load leniently and serve degraded (queries
+            touching lost terms come back ``partial``).
+        cache_entries: decode-cache size; ``0`` disables caching.
+        max_workers: batch worker-pool width.
+        timeout_s: default per-query deadline (``None`` = unbounded).
+        writable: open as a :class:`WritablePostingStore` instead —
+            creates the directory if absent, replays any WAL left by a
+            crash, and accepts ``target.ingest(...)``.  Closing the
+            target seals pending writes into compressed segments.
+        compact_interval_s: with ``writable``, start the background
+            compaction thread at this period (``0`` keeps compaction
+            manual: ``target.engine.store.compact()``).
     """
     store: PostingStore
     if writable:
-        wstore = WritablePostingStore.open(directory, strict=strict, mapped=mapped)
+        wstore = WritablePostingStore.open(directory, strict=strict)
         if compact_interval_s > 0:
             wstore.start_compactor(compact_interval_s)
         store = wstore
@@ -261,7 +257,6 @@ _LOCAL_KWARGS = frozenset(
         "timeout_s",
         "writable",
         "compact_interval_s",
-        "mapped",
     )
 )
 _REMOTE_KWARGS = frozenset(
@@ -294,9 +289,9 @@ def connect(target: "str | QueryEngine", **options) -> QueryTarget:
             * a **directory path** written by :meth:`PostingStore.save` —
               returns a :class:`LocalTarget`; accepts the engine options
               ``strict`` / ``cache_entries`` / ``max_workers`` /
-              ``timeout_s`` / ``writable`` / ``compact_interval_s`` /
-              ``mapped`` (same semantics as the deprecated
-              ``open_store``);
+              ``timeout_s`` / ``writable`` / ``compact_interval_s``
+              (see :func:`build_engine`); a legacy v1/v2 directory
+              raises :class:`StoreError` naming the migrate command;
             * an ``http://host:port`` **URL** — returns a
               :class:`RemoteTarget`; works identically against a single
               :class:`~repro.server.app.StoreServer` and a
@@ -330,10 +325,6 @@ def connect(target: "str | QueryEngine", **options) -> QueryTarget:
                 f"connect() needs an explicit host:port, got {target!r}"
             )
         _check_kwargs("remote", options, _REMOTE_KWARGS)
-        return RemoteTarget(
-            StoreClient(
-                parts.hostname, parts.port, _warn_deprecated=False, **options
-            )
-        )
+        return RemoteTarget(StoreClient(parts.hostname, parts.port, **options))
     _check_kwargs("local", options, _LOCAL_KWARGS)
     return LocalTarget(build_engine(target, **options), owns_engine=True)

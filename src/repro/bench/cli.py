@@ -201,8 +201,6 @@ def _quick_kwargs(exp_id: str) -> dict:
             "ingest_batches": 8,
             "ops_per_batch": 6,
             "repeat": 1,
-            # CI smoke compares the two segment formats side by side
-            "backings": ("in-heap", "mapped"),
         }
     if exp_id == "cluster":
         return {

@@ -564,7 +564,6 @@ def churn(
     compact_interval_s: float = 0.05,
     queue_depth: int = 16,
     workers: int = 4,
-    backings: Sequence[str] = ("in-heap",),
 ) -> list[MetricRow]:
     """Churn serving: queries race live ingest and background compaction.
 
@@ -581,12 +580,6 @@ def churn(
     the response-status mix.  Any ``failed`` query raises — compaction
     must never be visible as an error.  ``repeat`` is accepted for CLI
     uniformity but unused.
-
-    ``backings`` selects the segment format(s) to run: ``"in-heap"``
-    opens a legacy (v2) store, ``"mapped"`` a memory-mapped v3 store
-    whose compactions rewrite and retire whole-segment files while the
-    readers race them.  One row per (codec, backing), tagged via
-    ``extra["store_backing"]``.
     """
     del repeat
     import tempfile
@@ -606,10 +599,10 @@ def churn(
 
     names = list(codecs) if codecs is not None else ["Roaring"]
     rows = []
-    for name, backing in [(n, b) for n in names for b in backings]:
+    for name in names:
         rng = np.random.default_rng(seed)
         with tempfile.TemporaryDirectory(prefix="repro-churn-") as tmp:
-            store = WritablePostingStore.open(tmp, mapped=(backing == "mapped"))
+            store = WritablePostingStore.open(tmp)
             store.create_shard("s0", codec=name, universe=domain)
             preload = []
             for t in range(n_terms):
@@ -728,7 +721,6 @@ def churn(
             row.intersect_ms = pct(query_ms, 0.99)
             row.extra = {
                 "clients": clients,
-                "store_backing": backing,
                 "acked_ops": acked,
                 "compactions": write_path.get("compactions", 0),
                 "generation": write_path.get("generation", 0),

@@ -101,7 +101,7 @@ DECODE_WORKLOADS: tuple[DecodeWorkload, ...] = (
     DecodeWorkload("groupvb", "GroupVB", 1_000_000, 1 << 25, 100_000),
 )
 
-#: Served closed-loop parameters (mirrors benchmarks/bench_store_cache.py).
+#: Served closed-loop parameters.
 SERVED_CODEC = "WAH"
 SERVED_DOMAIN = 2**21 - 1
 SERVED_LIST_SIZE = 120_000
@@ -109,10 +109,10 @@ SERVED_QUICK_LIST_SIZE = 20_000
 SERVED_ITERATIONS = 15
 SERVED_QUICK_ITERATIONS = 5
 
-#: Mapped cold-open workload: a v3 segment must open without per-term
+#: Mapped cold-open workload: a segment must open without per-term
 #: parsing, so its open latency is (near-)flat in term count and its
-#: Python-heap footprint stays far below an in-heap load of the same
-#: store.  ``MAPPED_FLATNESS_BOUND`` is a hard in-process assertion on
+#: Python-heap footprint stays at the committed ``heap_peak_kb``
+#: ceiling.  ``MAPPED_FLATNESS_BOUND`` is a hard in-process assertion on
 #: open(4N)/open(N) — generous because tiny timings are noisy and the
 #: metadata CRC is linear (at memory bandwidth) in the ~64B/term tables.
 MAPPED_CODEC = "Roaring"
@@ -254,7 +254,7 @@ def _measure_served(quick: bool) -> dict:
     }
 
 
-def _save_term_store(directory: Path, n_terms: int, *, mapped: bool) -> None:
+def _save_term_store(directory: Path, n_terms: int) -> None:
     store = PostingStore()
     shard = store.create_shard("s0", codec=MAPPED_CODEC, universe=MAPPED_UNIVERSE)
     rng = np.random.default_rng(SEED)
@@ -263,7 +263,7 @@ def _save_term_store(directory: Path, n_terms: int, *, mapped: bool) -> None:
             f"t{i:05d}",
             np.unique(rng.integers(0, MAPPED_UNIVERSE, size=MAPPED_LIST_SIZE)),
         )
-    store.save(directory, mapped=mapped)
+    store.save(directory)
 
 
 def _open_ms(directory: Path, repeat: int) -> float:
@@ -284,21 +284,17 @@ def _heap_peak_kb(fn: Callable[[], Any]) -> float:
 
 
 def _measure_mapped_open(quick: bool) -> dict:
-    """Cold-open latency + heap ceiling for a v3 mapped store, with an
-    in-heap (v2) load of the same data as the reference."""
+    """Cold-open latency + heap ceiling for a saved (mapped) store."""
     n_terms = MAPPED_QUICK_TERMS if quick else MAPPED_TERMS
     repeat = 3 if quick else 5
     with tempfile.TemporaryDirectory(prefix="repro-perfgate-") as td:
         base = Path(td)
-        _save_term_store(base / "mapped", n_terms, mapped=True)
-        _save_term_store(base / "mapped4x", n_terms * MAPPED_FLATNESS_FACTOR, mapped=True)
-        _save_term_store(base / "legacy", n_terms, mapped=False)
+        _save_term_store(base / "mapped", n_terms)
+        _save_term_store(base / "mapped4x", n_terms * MAPPED_FLATNESS_FACTOR)
 
         open_ms = _open_ms(base / "mapped", repeat)
         open_4x_ms = _open_ms(base / "mapped4x", repeat)
-        legacy_open_ms = _open_ms(base / "legacy", repeat)
         heap_peak_kb = _heap_peak_kb(lambda: PostingStore.load(base / "mapped"))
-        legacy_heap_peak_kb = _heap_peak_kb(lambda: PostingStore.load(base / "legacy"))
 
     flatness = open_4x_ms / open_ms if open_ms else 1.0
     if flatness > MAPPED_FLATNESS_BOUND:  # pragma: no cover - regression net
@@ -306,12 +302,6 @@ def _measure_mapped_open(quick: bool) -> dict:
             f"mapped cold-open is not flat in term count: {MAPPED_FLATNESS_FACTOR}x "
             f"terms cost {flatness:.2f}x the open time (bound "
             f"{MAPPED_FLATNESS_BOUND}x) — per-term work crept into open()"
-        )
-    if heap_peak_kb >= legacy_heap_peak_kb:  # pragma: no cover - regression net
-        raise AssertionError(
-            f"mapped open allocates as much heap as an in-heap load "
-            f"({heap_peak_kb:.0f} KiB >= {legacy_heap_peak_kb:.0f} KiB) — "
-            "the zero-copy open is materialising terms"
         )
     return {
         "kind": "mapped-open",
@@ -321,12 +311,7 @@ def _measure_mapped_open(quick: bool) -> dict:
         "open_ms": round(open_ms, 4),
         "open_4x_ms": round(open_4x_ms, 4),
         "flatness_ratio": round(flatness, 2),
-        "legacy_open_ms": round(legacy_open_ms, 4),
         "heap_peak_kb": round(heap_peak_kb, 1),
-        "legacy_heap_peak_kb": round(legacy_heap_peak_kb, 1),
-        "heap_savings": (
-            round(legacy_heap_peak_kb / heap_peak_kb, 1) if heap_peak_kb else None
-        ),
     }
 
 
@@ -379,7 +364,7 @@ def _measure_compressed_intersect(quick: bool) -> dict:
         "iterations": iters,
     }
     with tempfile.TemporaryDirectory(prefix="repro-perfgate-") as td:
-        build_store().save(Path(td) / "v3", mapped=True)
+        build_store().save(Path(td) / "v3")
         for backing in ("inheap", "mapped"):
             store = (
                 build_store()
@@ -451,6 +436,7 @@ _GATED_FIELDS = {
     "cold_p50_ms",
     "warm_p50_ms",
     "open_ms",
+    "open_4x_ms",
     "heap_peak_kb",
     "inheap_compressed_p50_ms",
     "mapped_compressed_p50_ms",
@@ -563,8 +549,7 @@ def main(argv: list[str] | None = None) -> int:
             print(
                 f"  {name:<20}open {entry['open_ms']:.3f} ms "
                 f"({entry['flatness_ratio']}x at {MAPPED_FLATNESS_FACTOR}x terms), "
-                f"heap peak {entry['heap_peak_kb']:.0f} KiB "
-                f"(in-heap load: {entry['legacy_heap_peak_kb']:.0f} KiB)"
+                f"heap peak {entry['heap_peak_kb']:.0f} KiB"
             )
         else:
             print(

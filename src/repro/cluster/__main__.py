@@ -49,7 +49,7 @@ def discover_shards(backends: list[tuple[str, int]]) -> tuple[str, ...]:
     """Union of shard names reported by every backend's /healthz."""
     names: dict[str, None] = {}
     for host, port in backends:
-        with StoreClient(host, port, _warn_deprecated=False) as probe:
+        with StoreClient(host, port) as probe:
             health = probe.healthz()
         for name in health.get("shard_names", ()):
             names.setdefault(name, None)

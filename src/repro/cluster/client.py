@@ -33,15 +33,9 @@ from repro.store.plan import parse_query
 
 
 class RouterClient(StoreClient):
-    """A :class:`StoreClient` that pins and refreshes the shard map.
-
-    Construction does not emit the StoreClient deprecation warning:
-    this *is* the supported shard-aware entrypoint, layered on the same
-    transport.
-    """
+    """A :class:`StoreClient` that pins and refreshes the shard map."""
 
     def __init__(self, host: str, port: int, **kwargs) -> None:
-        kwargs.setdefault("_warn_deprecated", False)
         super().__init__(host, port, **kwargs)
         self.map: ShardMap | None = None
 

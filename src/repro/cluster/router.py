@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import deque
 
 from repro.api.errors import BackendUnavailableError, ProtocolError, ShardMapError
 from repro.cluster.metrics import RouterMetrics
@@ -152,11 +153,12 @@ class ClusterRouter:
         self.in_flight = 0
         self._server: asyncio.AbstractServer | None = None
         self._writers: set[asyncio.StreamWriter] = set()
-        # Follower replication: one FIFO + drain task per backend.
-        # Entries: (enqueue_loop_time, ingest_body_dict).
-        self._ship_queues: dict[str, asyncio.Queue] = {}
+        # Follower replication: one (FIFO, wake-up event) pair + drain
+        # task per backend.  Entries: (enqueue_loop_time,
+        # ingest_body_dict); a batch stays at the head until shipped or
+        # dropped, so the head's age *is* that follower's staleness.
+        self._ship_queues: dict[str, tuple[deque, asyncio.Event]] = {}
         self._ship_tasks: list[asyncio.Task] = []
-        self._ship_oldest: dict[str, float | None] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle (BackgroundServer-compatible)
@@ -167,11 +169,9 @@ class ClusterRouter:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         for backend in self.map.backends:
-            queue: asyncio.Queue = asyncio.Queue()
-            self._ship_queues[backend.backend_id] = queue
-            self._ship_oldest[backend.backend_id] = None
+            self._ship_queues[backend.backend_id] = (deque(), asyncio.Event())
             self._ship_tasks.append(
-                asyncio.create_task(self._ship_loop(backend.backend_id, queue))
+                asyncio.create_task(self._ship_loop(backend.backend_id))
             )
 
     async def serve_forever(self) -> None:
@@ -670,9 +670,9 @@ class ClusterRouter:
         now = loop.time()
         for bid, ops in by_follower.items():
             sub = IngestRequest(ops=tuple(ops), batch_id=request.batch_id)
-            if self._ship_oldest.get(bid) is None:
-                self._ship_oldest[bid] = now
-            self._ship_queues[bid].put_nowait((now, sub.to_body()))
+            queue, wakeup = self._ship_queues[bid]
+            queue.append((now, sub.to_body()))
+            wakeup.set()
         response = IngestResponse(
             status="ok",
             acked_ops=acked,
@@ -701,13 +701,16 @@ class ClusterRouter:
             )
         return IngestResponse.from_body(parsed)
 
-    async def _ship_loop(self, backend_id: str, queue: asyncio.Queue) -> None:
+    async def _ship_loop(self, backend_id: str) -> None:
         """Drain one follower's ship queue; bounded retries per batch."""
         backend = self.map.backend(backend_id)
-        loop = asyncio.get_running_loop()
+        queue, wakeup = self._ship_queues[backend_id]
         while True:
-            enqueued_at, body = await queue.get()
-            self._ship_oldest[backend_id] = enqueued_at
+            if not queue:
+                wakeup.clear()
+                await wakeup.wait()
+                continue
+            _enqueued_at, body = queue[0]
             delivered = False
             for attempt in range(self.ship_retries):
                 try:
@@ -727,19 +730,11 @@ class ClusterRouter:
                 self.metrics.shipped_batches += 1
             else:
                 self.metrics.ship_failures += 1
-            # Advance the staleness bound to the next pending batch.
-            self._ship_oldest[backend_id] = None
-            if not queue.empty():
-                try:
-                    head = queue._queue[0]  # peek; same-loop access is safe
-                    self._ship_oldest[backend_id] = head[0]
-                except (AttributeError, IndexError):
-                    pass
-            queue.task_done()
+            queue.popleft()  # the next batch's age is now the bound
 
     def _max_staleness_ms(self, now: float) -> float:
         """Worst-case follower lag: age of the oldest unshipped batch."""
-        oldest = [t for t in self._ship_oldest.values() if t is not None]
+        oldest = [q[0][0] for q, _wakeup in self._ship_queues.values() if q]
         if not oldest:
             return 0.0
         return max(0.0, (now - min(oldest)) * 1000.0)

@@ -26,9 +26,8 @@ Quickstart (see ``docs/serving.md`` for the wire protocol)::
             response = client.query(And("news", "2024"), deadline_ms=100)
             print(response.status, response.n_results)
 
-(:class:`StoreClient` remains exported for the transport layer, but
-direct construction is deprecated — go through
-:func:`repro.api.connect`.)
+(:class:`StoreClient` is the transport class behind that target;
+:func:`repro.api.connect` is the entrypoint.)
 
 Or from a shell::
 

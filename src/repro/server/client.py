@@ -46,7 +46,6 @@ import json
 import random
 import socket
 import time
-import warnings
 from typing import Callable, Sequence
 
 from repro.core.errors import ReproError
@@ -97,12 +96,10 @@ class StoreClient:
         rng: injectable jitter source (``random.Random``); seed one for
             deterministic backoff schedules in tests.
 
-    Deprecated as a public entrypoint: construct through
-    :func:`repro.api.connect` (``api.connect("http://host:port")``)
-    which returns the uniform :class:`~repro.api.targets.QueryTarget`
-    surface.  Direct construction emits exactly one
-    :class:`DeprecationWarning`; internal callers silence it via the
-    private ``_warn_deprecated`` flag.
+    The transport behind :func:`repro.api.connect`
+    (``api.connect("http://host:port").client``), which is the public
+    entrypoint and returns the uniform
+    :class:`~repro.api.targets.QueryTarget` surface.
     """
 
     def __init__(
@@ -116,16 +113,7 @@ class StoreClient:
         backoff_cap_s: float = 2.0,
         sleep: Callable[[float], None] = time.sleep,
         rng: random.Random | None = None,
-        _warn_deprecated: bool = True,
     ) -> None:
-        if _warn_deprecated:
-            warnings.warn(
-                "constructing StoreClient directly is deprecated; use "
-                "repro.api.connect('http://host:port') and reach the "
-                "client via target.client",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         self.host = host
         self.port = port
         self.timeout_s = timeout_s

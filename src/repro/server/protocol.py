@@ -38,11 +38,9 @@ Ingest body (``POST /ingest``, writable stores only)::
       "batch_id": "b-42"             # optional, echoed back
     }
 
-Both bodies carry a versioned envelope: ``"v": 2`` today, with ``"v":
-1`` still accepted from older clients.  A request with an unknown
-version — or with *no* ``v`` field at all — is answered 400: the v1
-deprecation window that waved through unversioned bodies closed with
-v2 (release note in docs/serving.md).
+Both bodies carry a versioned envelope, ``"v": 2``.  A request with any
+other version — or with *no* ``v`` field at all — is answered 400
+(release note in docs/serving.md).
 
 The per-request deadline travels in the :data:`DEADLINE_HEADER` header
 (milliseconds); a shed request answers 503 with a ``Retry-After``
@@ -75,10 +73,8 @@ MAX_BODY_BYTES = 1 << 20
 #: bodies.
 WIRE_VERSION = 2
 
-#: Versions this server still answers.  v1 bodies are identical except
-#: that v1 clients were allowed to omit ``v``; that allowance ended
-#: with v2, so the field itself is now mandatory.
-SUPPORTED_WIRE_VERSIONS = frozenset({1, WIRE_VERSION})
+#: Versions this server answers; the ``v`` field is mandatory.
+SUPPORTED_WIRE_VERSIONS = frozenset({WIRE_VERSION})
 
 
 class ProtocolError(ReproError, ValueError):
@@ -89,9 +85,7 @@ def check_envelope(body: object) -> None:
     """Reject request bodies with a missing or unknown envelope version.
 
     Raises :class:`ProtocolError` (→ HTTP 400) unless ``body["v"]`` is
-    one of :data:`SUPPORTED_WIRE_VERSIONS`.  Since v2 the field is
-    mandatory: the legacy window that accepted unversioned bodies as v1
-    is closed.
+    one of :data:`SUPPORTED_WIRE_VERSIONS`.
     """
     if not isinstance(body, dict):
         return  # shape errors are reported by the request parser
@@ -99,8 +93,7 @@ def check_envelope(body: object) -> None:
     if version is None:
         raise ProtocolError(
             "request body is missing the wire version field 'v'; "
-            f"this server speaks v{WIRE_VERSION} "
-            f"(accepted: {sorted(SUPPORTED_WIRE_VERSIONS)})"
+            f"this server speaks v{WIRE_VERSION}"
         )
     if (
         not isinstance(version, int)
@@ -109,7 +102,7 @@ def check_envelope(body: object) -> None:
     ):
         raise ProtocolError(
             f"unsupported wire version {version!r}; this server speaks "
-            f"v{WIRE_VERSION} (accepted: {sorted(SUPPORTED_WIRE_VERSIONS)})"
+            f"v{WIRE_VERSION}"
         )
 
 

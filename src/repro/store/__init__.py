@@ -5,7 +5,8 @@ system that *serves* them.  This package is that system's kernel:
 
 * :class:`PostingStore` — named shards of compressed term lists, any
   codec per shard (registry members or the Adaptive wrapper), persisted
-  through :mod:`repro.core.serialize` with corruption-tolerant loading;
+  as one memory-mapped segment per shard with corruption-tolerant
+  loading (a loaded store is immutable);
 * :class:`DecodeCache` — bounded LRU of decoded arrays keyed by
   ``(shard, term, codec)`` with hit/miss/eviction counters;
 * :func:`compile_shard_plan` / :class:`Query` — term-level boolean
@@ -21,11 +22,11 @@ system that *serves* them.  This package is that system's kernel:
   ingest through a CRC-checked WAL into in-memory delta segments,
   crash recovery by replay, and background compaction that re-runs
   per-list codec selection (``docs/write_path.md``);
-* :class:`MappedSegment` / :class:`MappedPostings` — the v3 zero-copy
-  memory-mapped segment layout (``save(mapped=True)``,
-  :func:`migrate_store`, ``WritablePostingStore.open(mapped=True)``):
-  whole-shard segment files opened with no per-term parsing, terms
-  materialised lazily as views over the map (``docs/segment_format.md``).
+* :class:`MappedSegment` / :class:`MappedPostings` — the one on-disk
+  layout: whole-shard segment files opened with no per-term parsing,
+  terms materialised lazily as zero-copy views over the map
+  (``docs/segment_format.md``); :func:`migrate_store` upgrades a
+  legacy per-term directory in place.
 
 Quickstart::
 

@@ -23,6 +23,8 @@ returned.  The crash-recovery suite SIGKILLs this process mid-run and
 uses those lines as the durability oracle: every op in a printed batch
 must survive replay.  ``python -m repro.store compact DIR`` runs one
 foreground compaction and prints the write-path counters.
+``python -m repro.store migrate DIR`` upgrades a legacy (v1/v2)
+directory in place; the other two refuse one (``StoreError``).
 
 Examples::
 
@@ -50,7 +52,7 @@ from repro.store.engine import QueryEngine, QueryResult
 from repro.store.metrics import StoreMetrics
 from repro.store.plan import And, Or, Query, Term
 from repro.store.segments import WritablePostingStore
-from repro.store.store import PostingStore
+from repro.store.store import PostingStore, migrate_store
 from repro.store.wal import OP_ADD, OP_DELETE
 
 #: Exit codes by worst batch outcome (0 = every query ok).
@@ -201,16 +203,9 @@ def _ingest_main(argv: list[str]) -> int:
         help="exit without close(): skips the final compaction so the "
         "next open exercises WAL replay",
     )
-    parser.add_argument(
-        "--mapped",
-        action="store_true",
-        help="persist compactions in the v3 memory-mapped segment layout",
-    )
     args = parser.parse_args(argv)
 
-    store = WritablePostingStore.open(
-        args.directory, mapped=True if args.mapped else None
-    )
+    store = WritablePostingStore.open(args.directory)
     if args.shard not in store.shard_names():
         store.create_shard(args.shard, codec=args.codec, universe=args.universe)
     batches = synthetic_ops(
@@ -277,8 +272,6 @@ def _migrate_main(argv: list[str]) -> int:
         help="tolerate corrupt lists instead of failing the migration",
     )
     args = parser.parse_args(argv)
-
-    from repro.store.store import migrate_store
 
     summary = migrate_store(args.directory, strict=not args.lenient)
     print(json.dumps(summary, indent=1))

@@ -1,12 +1,9 @@
-"""Zero-copy memory-mapped (v3) segment format.
+"""Zero-copy memory-mapped (v3) segment format — the store's one layout.
 
-A v2 store pays O(term count) Python parsing on every open: each term's
-``.rpro`` file is read, its fields copied into fresh heap arrays, and a
-``CompressedIntegerSet`` object graph built eagerly.  This module is the
-re-layout ROADMAP item 3 calls for, in the spirit of the ds2i/2i_bench
-length-prefixed binary collections: one segment file per shard, openable
-via ``mmap`` with **no per-term parse step**, so opening is flat in term
-count and the OS page cache becomes an L2 under the decode cache.
+In the spirit of the ds2i/2i_bench length-prefixed binary collections:
+one segment file per shard, openable via ``mmap`` with **no per-term
+parse step**, so opening is flat in term count and the OS page cache
+becomes an L2 under the decode cache.
 
 Byte-level layout (little-endian throughout; full walk-through in
 ``docs/segment_format.md``)::
@@ -55,6 +52,7 @@ import numpy as np
 from repro.core.base import CompressedIntegerSet
 from repro.core.serialize import dumps, loads_view
 from repro.store.errors import MappedSegmentError
+from repro.store.wal import _fsync_dir
 
 MAPPED_SUFFIX = ".rpro3"
 
@@ -133,6 +131,10 @@ def write_mapped_segment(
     :class:`MappedIntegerSet` with an intact ``raw_blob`` is copied
     byte-for-byte off its old map — the compaction fast path for
     unchanged terms.
+
+    The bytes land in ``<path>.tmp`` and are renamed into place, so
+    *path* is never torn and may be the very file *items* are mapped
+    from (``PostingStore.load(d).save(d)``).
     """
     path = os.fspath(path)
     encoded: list[tuple[bytes, str, CompressedIntegerSet]] = sorted(
@@ -189,7 +191,8 @@ def write_mapped_segment(
     crc = zlib.crc32(meta)
     meta[: _HEADER.size] = header(crc)
 
-    with open(path, "wb") as fh:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
         fh.write(meta)
         pos = 0
         for blob in blobs:
@@ -202,6 +205,9 @@ def write_mapped_segment(
         fh.flush()
         if fsync:
             os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    if fsync:
+        _fsync_dir(os.path.dirname(path))
     return file_len
 
 
@@ -567,7 +573,7 @@ class MappedPostings(MutableMapping):
     strict raises the :class:`MappedSegmentError`; lenient records the
     term in *failed_sink* (the owning shard's ``failed_terms``) and
     reports the term absent, which the plan compiler turns into a
-    *degraded* (partial) query, exactly like a lenient v2 load.
+    *degraded* (partial) query.
 
     ``cache_epoch`` is folded into decode-cache keys by the plan
     compiler so arrays cached against one mapped generation can never

@@ -33,7 +33,6 @@ window.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import threading
@@ -48,7 +47,6 @@ from repro.core.base import (
     difference_sorted_arrays,
     union_sorted_arrays,
 )
-from repro.core.serialize import dump
 from repro.store.errors import DuplicateShardError, StoreError, UnknownShardError
 from repro.store.mapped import (
     MAPPED_SUFFIX,
@@ -57,7 +55,6 @@ from repro.store.mapped import (
     write_mapped_segment,
 )
 from repro.store.store import (
-    _MANIFEST_VERSION_MAPPED,
     PostingStore,
     Shard,
     ShardState,
@@ -73,14 +70,14 @@ from repro.store.wal import (
     OP_SHARD,
     WalReplay,
     WriteAheadLog,
-    _fsync_dir,
     replay_wal,
 )
 
 _WAL_RE = re.compile(r"^wal-(\d{6})\.log$")
-#: Segment files subject to orphan GC: per-term ``.rpro`` (v2) and
-#: whole-shard mapped ``.rpro3`` (v3).
-_RPRO_RE = re.compile(r"\.rpro3?$")
+#: Files subject to orphan GC: ``.rpro3`` segments, their ``.tmp``
+#: write-ahead copies, and legacy per-term ``.rpro`` files a migration
+#: crashed before unlinking.
+_RPRO_RE = re.compile(r"\.rpro3?(\.tmp)?$")
 
 
 def _wal_name(seq: int) -> str:
@@ -218,7 +215,7 @@ class WritableShard(Shard):
 class WritablePostingStore(PostingStore):
     """A :class:`PostingStore` with an acknowledged-write ingest path.
 
-    Use :meth:`open` (or ``repro.api.open_store(..., writable=True)``);
+    Use :meth:`open` (or ``repro.api.connect(dir, writable=True)``);
     the constructor alone builds an in-memory store with no durability.
 
     Writes go through :meth:`append` / :meth:`delete` /
@@ -250,14 +247,7 @@ class WritablePostingStore(PostingStore):
         #: Torn-tail bytes discarded across recovered WALs (crash debris).
         self.recovered_tail_bytes = 0
         self.compactions = 0
-        #: Term → file map of the manifest on disk (None until known).
-        self._manifest_terms: dict[str, dict[str, str]] | None = None
-        #: Whether compaction persists the v3 mapped layout (one
-        #: ``.rpro3`` segment per shard) instead of per-term files.
-        #: Set by :meth:`open` — explicitly, or inherited from the
-        #: on-disk manifest version.
-        self.mapped = False
-        #: Shard → segment file (relative) of the mapped manifest on disk.
+        #: Shard → segment file (relative) of the manifest on disk.
         self._manifest_segments: dict[str, str] = {}
         #: Damage policy inherited by segments mapped after compaction.
         self._strict = True
@@ -278,7 +268,6 @@ class WritablePostingStore(PostingStore):
         *,
         strict: bool = True,
         fsync: bool = True,
-        mapped: bool | None = None,
     ) -> "WritablePostingStore":
         """Open (creating if absent) a writable store at *directory*.
 
@@ -286,45 +275,25 @@ class WritablePostingStore(PostingStore):
         every WAL file oldest-first into fresh delta segments, garbage-
         collect orphan files from interrupted compactions, then rotate
         to a new WAL (recovered logs are retired, not appended to, so a
-        discarded torn tail can never precede a live record).
-
-        ``mapped`` selects the persistence layout compaction emits:
-        ``True`` for the v3 memory-mapped format, ``False`` for per-term
-        v2 files, ``None`` (default) to inherit whatever the on-disk
-        manifest already uses (v2 for a fresh directory).  Opening a
-        legacy store with ``mapped=True`` performs the one-shot
-        :func:`repro.store.store.migrate_store` first (folding any
-        pending WAL), so the open always lands on a consistent layout.
+        discarded torn tail can never precede a live record).  A legacy
+        (v1/v2) manifest raises :class:`StoreError` naming the
+        ``python -m repro.store migrate`` upgrade, before anything is
+        written.
         """
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
-        if mapped and os.path.exists(manifest_path(directory)):
-            from repro.store.store import migrate_store
-
-            migrate_store(directory, strict=strict)
         store = cls(directory, fsync=fsync)
         store._strict = strict
-        manifest = None
         if os.path.exists(manifest_path(directory)):
             manifest = load_manifest_into(store, directory, strict=strict)
-            store._manifest_terms = {
-                name: dict(spec.get("terms", {}))
-                for name, spec in manifest["shards"].items()
-            }
             store._manifest_segments = {
-                name: spec["segment"]
-                for name, spec in manifest["shards"].items()
-                if spec.get("segment") is not None
+                name: spec["segment"] for name, spec in manifest["shards"].items()
             }
-        if mapped is None:
-            store.mapped = bool(store._manifest_segments)
-        else:
-            store.mapped = mapped
         wal_paths = store._existing_wals()
         for path in wal_paths:
             replay = replay_wal(path, strict=strict)
             store._absorb_replay(replay)
-        store._gc_orphans(manifest)
+        store._gc_orphans()
         # Freeze the recovered overlay: new writes go to fresh deltas
         # backed by a fresh log, old logs wait for the next compaction.
         for shard in store._writable_shards():
@@ -391,21 +360,16 @@ class WritablePostingStore(PostingStore):
         elif kind == OP_DELETE:
             shard.active_delta.delete(op["term"], op["values"])
 
-    def _gc_orphans(self, manifest: dict | None) -> None:
+    def _gc_orphans(self) -> None:
         """Delete files from interrupted compactions/saves.
 
-        Anything matching ``*.rpro`` that the manifest does not
+        Any segment file (or ``.tmp`` of one) that the manifest does not
         reference, plus stale ``manifest.json.tmp``, is debris from a
         crash between writing segment files and the atomic manifest
         rename — the manifest is the single source of truth.
         """
         assert self.directory is not None
-        referenced: set[str] = set()
-        if manifest is not None:
-            for spec in manifest["shards"].values():
-                referenced.update(spec.get("terms", {}).values())
-                if spec.get("segment") is not None:
-                    referenced.add(spec["segment"])
+        referenced = set(self._manifest_segments.values())
         for root, _dirs, files in os.walk(self.directory):
             for fname in files:
                 full = os.path.join(root, fname)
@@ -537,11 +501,12 @@ class WritablePostingStore(PostingStore):
         2. *Merge* (no locks): for each sealed term, decode the base
            list, apply ``(base − dels) ∪ adds``, and re-compress with
            the shard codec — ``Adaptive`` re-selects the representation.
-        3. *Persist*: write new ``.rpro`` files under a generation
-           prefix (never clobbering files the live manifest references),
-           fsync, then atomically replace the manifest.
+        3. *Persist*: write each changed shard's new ``.rpro3`` segment
+           under a generation-stamped name (never clobbering files the
+           live manifest references), fsync, then atomically replace
+           the manifest.
         4. *Commit* (state lock, per shard): swap in the new postings
-           dict, drop the sealed deltas, bump rewritten terms' versions.
+           map, drop the sealed deltas, bump rewritten terms' versions.
         5. *Truncate*: delete the retired WAL files — their effects are
            in the manifest now, and replaying them would be a no-op
            anyway (idempotent overlay), so a crash between 3 and 5 is
@@ -618,13 +583,9 @@ class WritablePostingStore(PostingStore):
                 changed[shard.name] = rewritten
 
             # -- 3. persist ---------------------------------------------
-            replaced_files: list[str] = []
             new_segments: dict[str, str] = {}
             if self.directory is not None:
-                if self.mapped:
-                    new_segments = self._persist_mapped(gen, new_postings)
-                else:
-                    replaced_files = self._persist(gen, new_postings, changed)
+                new_segments = self._persist_mapped(gen, new_postings)
 
             # -- 4. commit ----------------------------------------------
             total = 0
@@ -678,7 +639,7 @@ class WritablePostingStore(PostingStore):
 
             # -- 5. truncate --------------------------------------------
             if self.directory is not None:
-                for path in retiring + replaced_files:
+                for path in retiring:
                     try:
                         os.unlink(path)
                     except OSError:
@@ -688,64 +649,12 @@ class WritablePostingStore(PostingStore):
             ]
             return total
 
-    def _persist(
-        self,
-        gen: int,
-        new_postings: dict[str, dict[str, CompressedIntegerSet]],
-        changed: dict[str, list[str]],
-    ) -> list[str]:
-        """Write rewritten lists under a generation prefix + new manifest.
-
-        Returns the absolute paths of segment files the new manifest no
-        longer references (safe to unlink once the rename is durable).
-        """
-        assert self.directory is not None
-        manifest = manifest_dict(self)
-        manifest["generation"] = gen
-        replaced: list[str] = []
-        for shard in self._writable_shards():
-            spec = manifest["shards"][shard.name]
-            # Start from the live manifest's term → file map.
-            old_terms = self._current_terms(shard.name)
-            if shard.name not in new_postings:
-                spec["terms"] = old_terms
-                continue
-            shard_dir = os.path.join(self.directory, shard.name)
-            os.makedirs(shard_dir, exist_ok=True)
-            terms = {
-                t: rel
-                for t, rel in old_terms.items()
-                if t in new_postings[shard.name]
-            }
-            for i, term in enumerate(sorted(changed[shard.name])):
-                cs = new_postings[shard.name].get(term)
-                if cs is None:
-                    terms.pop(term, None)  # term fully deleted
-                    continue
-                rel = os.path.join(shard.name, f"g{gen:06d}-{i:06d}.rpro")
-                dump(cs, os.path.join(self.directory, rel))
-                terms[term] = rel
-            _fsync_dir(shard_dir)
-            spec["terms"] = terms
-            live = set(terms.values())
-            replaced.extend(
-                os.path.join(self.directory, rel)
-                for rel in old_terms.values()
-                if rel not in live
-            )
-        write_manifest(self.directory, manifest)
-        self._manifest_terms = {
-            name: dict(spec["terms"])
-            for name, spec in manifest["shards"].items()
-        }
-        return replaced
-
     def _persist_mapped(
         self,
         gen: int,
         new_postings: dict[str, dict[str, CompressedIntegerSet]],
     ) -> dict[str, str]:
-        """Write whole-shard v3 segments for every changed shard + manifest.
+        """Write whole-shard segments for every changed shard + manifest.
 
         Unchanged shards keep their existing segment file (the manifest
         re-references it); changed shards get a fresh
@@ -759,7 +668,6 @@ class WritablePostingStore(PostingStore):
         """
         assert self.directory is not None
         manifest = manifest_dict(self)
-        manifest["version"] = _MANIFEST_VERSION_MAPPED
         manifest["generation"] = gen
         new_segments: dict[str, str] = {}
         for shard in self._writable_shards():
@@ -771,10 +679,9 @@ class WritablePostingStore(PostingStore):
             items = new_postings.get(shard.name)
             if items is None:
                 # First persist of a shard compaction never touched
-                # (e.g. created this session, or a migrated-in dict).
+                # (created this session).
                 items = dict(shard.postings)
-            shard_dir = os.path.join(self.directory, shard.name)
-            os.makedirs(shard_dir, exist_ok=True)
+            os.makedirs(os.path.join(self.directory, shard.name), exist_ok=True)
             rel = os.path.join(
                 shard.name, f"segment-g{gen:06d}{MAPPED_SUFFIX}"
             )
@@ -782,30 +689,13 @@ class WritablePostingStore(PostingStore):
             write_mapped_segment(
                 full, items.items(), generation=gen, fsync=self._fsync
             )
-            _fsync_dir(shard_dir)
             spec["segment"] = rel
             new_segments[shard.name] = full
         write_manifest(self.directory, manifest)
         self._manifest_segments = {
-            name: spec["segment"]
-            for name, spec in manifest["shards"].items()
-            if spec.get("segment") is not None
+            name: spec["segment"] for name, spec in manifest["shards"].items()
         }
-        self._manifest_terms = {name: {} for name in manifest["shards"]}
         return new_segments
-
-    def _current_terms(self, shard_name: str) -> dict[str, str]:
-        cached = getattr(self, "_manifest_terms", None)
-        if cached is not None:
-            return dict(cached.get(shard_name, {}))
-        # First compaction since open: read the manifest written last.
-        assert self.directory is not None
-        try:
-            with open(manifest_path(self.directory)) as fh:
-                manifest = json.load(fh)
-            return dict(manifest["shards"].get(shard_name, {}).get("terms", {}))
-        except FileNotFoundError:
-            return {}
 
     # ------------------------------------------------------------------
     # Background compactor
@@ -853,7 +743,6 @@ class WritablePostingStore(PostingStore):
         """JSON-able write-path counters (merged into ``/metrics``)."""
         return {
             "generation": self.generation,
-            "mapped": self.mapped,
             "compactions": self.compactions,
             "pending_ops": self.pending_ops(),
             "recovered_ops": self.recovered_ops,

@@ -9,11 +9,14 @@ shards, queries scatter over shards and gather partial results, and
 every decode funnels through :func:`repro.core.decode` so the engine's
 cache and metrics see all of it.
 
-Persistence reuses :mod:`repro.core.serialize` — one ``.rpro`` file per
-list plus a JSON manifest.  Loading is strict by default; with
-``strict=False`` a corrupt list is skipped and recorded (shard stays
-serveable, queries touching the lost term come back flagged partial)
-instead of taking the whole store down.
+Persistence is one memory-mapped ``.rpro3`` segment per shard
+(:mod:`repro.store.mapped`) plus a JSON manifest.  A store loaded from
+disk is therefore immutable — ``Shard.add`` on it raises
+:class:`MappedSegmentError`; mutation goes through
+``connect(dir, writable=True).ingest``.  Loading is strict by default;
+with ``strict=False`` a corrupt list is skipped and recorded (shard
+stays serveable, queries touching the lost term come back flagged
+partial) instead of taking the whole store down.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from repro.core.base import CompressedIntegerSet, IntegerSetCodec
 from repro.core.decode import ArrayCache, DecodeObserver, decode
 from repro.core.errors import ReproError
 from repro.core.registry import get_codec
-from repro.core.serialize import dump, load
+from repro.core.serialize import load
 from repro.store.errors import (
     DuplicateShardError,
     DuplicateTermError,
@@ -41,16 +44,12 @@ from repro.store.errors import (
 )
 
 _MANIFEST = "manifest.json"
-#: Version 2 added per-shard codec ``params`` (full configuration, not
-#: just the name) and the store ``generation`` counter; version-1
-#: manifests are still readable.  Version 3 replaces the per-term
-#: ``terms`` file map with one memory-mapped ``segment`` file per shard
-#: (:mod:`repro.store.mapped`); 1 and 2 remain readable, and v2 is
-#: still the default *write* format — v3 is opt-in via
-#: ``save(mapped=True)`` / :func:`migrate_store`.
-_MANIFEST_VERSION = 2
-_MANIFEST_VERSION_MAPPED = 3
-_READABLE_MANIFEST_VERSIONS = (1, 2, 3)
+#: The one manifest version written and read: per shard, codec name +
+#: ``params`` + ``universe`` + the relative path of its ``segment`` file.
+#: Versions 1 and 2 (one ``.rpro`` file per term) are understood only by
+#: :func:`migrate_store`.
+_MANIFEST_VERSION = 3
+_LEGACY_MANIFEST_VERSIONS = (1, 2)
 
 
 def resolve_codec(spec: str | IntegerSetCodec) -> IntegerSetCodec:
@@ -92,8 +91,8 @@ class Shard:
     name: str
     codec: IntegerSetCodec
     universe: int | None = None
-    #: A plain dict for in-heap shards; a lazy
-    #: :class:`repro.store.mapped.MappedPostings` for mapped (v3) ones.
+    #: A plain dict for shards built in memory; a lazy, immutable
+    #: :class:`repro.store.mapped.MappedPostings` for ones loaded from disk.
     postings: MutableMapping[str, CompressedIntegerSet] = field(
         default_factory=dict
     )
@@ -315,50 +314,36 @@ class PostingStore:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, directory: str | os.PathLike, *, mapped: bool = False) -> None:
+    def save(self, directory: str | os.PathLike, *, mapped: bool = True) -> None:
         """Write every shard under *directory* (manifest + segment files).
 
+        One ``.rpro3`` segment per shard, openable with zero per-term
+        parsing (:mod:`repro.store.mapped`, ``docs/segment_format.md``).
         The manifest records each shard codec's full configuration via
         :meth:`IntegerSetCodec.params`, and is written atomically (temp
         file + rename) so a reader never observes a half-written
         manifest.
-
-        The default layout (manifest version 2) is one ``.rpro`` file
-        per term.  With ``mapped=True`` the store is written in the v3
-        memory-mapped layout instead — one ``.rpro3`` segment per shard
-        (manifest version 3, ``segment`` entry in place of the ``terms``
-        map), openable with zero per-term parsing; see
-        :mod:`repro.store.mapped` and ``docs/segment_format.md``.
         """
+        # Inert: pinned by benchmarks/e2e/targets.py:75 (`save(directory,
+        # mapped=True)`); drop the keyword when that line goes.
+        if mapped is not True:
+            raise TypeError("save() writes the mapped layout only; drop mapped=")
+        from repro.store.mapped import MAPPED_SUFFIX, write_mapped_segment
+
         directory = os.fspath(directory)
         os.makedirs(directory, exist_ok=True)
         manifest = manifest_dict(self)
-        if mapped:
-            from repro.store.mapped import MAPPED_SUFFIX, write_mapped_segment
-
-            manifest["version"] = _MANIFEST_VERSION_MAPPED
-            for shard in self._shards.values():
-                shard_dir = os.path.join(directory, shard.name)
-                os.makedirs(shard_dir, exist_ok=True)
-                rel = os.path.join(
-                    shard.name, f"segment-g{self.generation:06d}{MAPPED_SUFFIX}"
-                )
-                write_mapped_segment(
-                    os.path.join(directory, rel),
-                    shard.postings.items(),
-                    generation=self.generation,
-                )
-                manifest["shards"][shard.name]["segment"] = rel
-        else:
-            for shard in self._shards.values():
-                shard_dir = os.path.join(directory, shard.name)
-                os.makedirs(shard_dir, exist_ok=True)
-                terms: dict[str, str] = {}
-                for i, (term, cs) in enumerate(sorted(shard.postings.items())):
-                    rel = os.path.join(shard.name, f"{i:06d}.rpro")
-                    dump(cs, os.path.join(directory, rel))
-                    terms[term] = rel
-                manifest["shards"][shard.name]["terms"] = terms
+        for shard in self._shards.values():
+            os.makedirs(os.path.join(directory, shard.name), exist_ok=True)
+            rel = os.path.join(
+                shard.name, f"segment-g{self.generation:06d}{MAPPED_SUFFIX}"
+            )
+            write_mapped_segment(
+                os.path.join(directory, rel),
+                shard.postings.items(),
+                generation=self.generation,
+            )
+            manifest["shards"][shard.name]["segment"] = rel
         write_manifest(directory, manifest)
 
     @classmethod
@@ -369,14 +354,13 @@ class PostingStore:
 
         Args:
             directory: the save directory.
-            strict: when True (default) the first corrupt list raises its
-                underlying error wrapped in :class:`ShardLoadError`, and
-                a shard whose manifest codec params disagree with the
-                registry's configuration raises
-                :class:`ManifestParamsError`; when False both are
-                recorded in ``store.load_errors`` (corrupt lists also in
-                the owning shard's ``failed_terms``) and loading
-                continues.
+            strict: when True (default) a damaged segment raises
+                :class:`MappedSegmentError` (structure at load, a list's
+                payload at first touch), and a shard whose manifest
+                codec params disagree with the registry's configuration
+                raises :class:`ManifestParamsError`; when False both are
+                recorded (``store.load_errors``, the owning shard's
+                ``failed_terms``) and the rest keeps serving.
         """
         store = cls()
         load_manifest_into(store, directory, strict=strict)
@@ -387,7 +371,7 @@ class PostingStore:
 # Manifest plumbing (shared with repro.store.segments)
 # ----------------------------------------------------------------------
 def manifest_dict(store: PostingStore) -> dict:
-    """The store's manifest skeleton — per-shard ``terms`` filled by callers."""
+    """The store's manifest skeleton — per-shard ``segment`` filled by callers."""
     return {
         "version": _MANIFEST_VERSION,
         "generation": store.generation,
@@ -396,7 +380,7 @@ def manifest_dict(store: PostingStore) -> dict:
                 "codec": shard.codec.name,
                 "params": shard.codec.params(),
                 "universe": shard.universe,
-                "terms": {},
+                "terms": {},  # v2 leftover, always empty: keeps v3 manifests byte-stable
             }
             for shard in (store.shard(n) for n in store.shard_names())
         },
@@ -427,13 +411,28 @@ def verify_codec_params(
     """Raise :class:`ManifestParamsError` when the saved configuration
     disagrees with how the registry (or Adaptive) instantiates the codec.
 
-    Version-1 manifests carry no params (``None``): nothing to verify.
+    Version-1 manifests (seen only by :func:`migrate_store`) carry no
+    params (``None``): nothing to verify.
     """
     if manifest_params is None:
         return
     actual = codec.params()
     if dict(manifest_params) != actual:
         raise ManifestParamsError(codec.name, dict(manifest_params), actual)
+
+
+def _declare_shard(
+    store: PostingStore, name: str, spec: Mapping, *, strict: bool
+) -> Shard:
+    """Create the shard a manifest entry names and check its codec params."""
+    shard = store.create_shard(name, codec=spec["codec"], universe=spec["universe"])
+    try:
+        verify_codec_params(shard.codec, spec.get("params"))
+    except ManifestParamsError as err:
+        if strict:
+            raise
+        store.load_errors.append(err)
+    return shard
 
 
 def load_manifest_into(
@@ -447,34 +446,17 @@ def load_manifest_into(
     directory = os.fspath(directory)
     with open(manifest_path(directory)) as fh:
         manifest = json.load(fh)
-    if manifest.get("version") not in _READABLE_MANIFEST_VERSIONS:
-        raise ReproError(
-            f"unsupported store manifest version {manifest.get('version')!r}"
+    if manifest.get("version") != _MANIFEST_VERSION:
+        raise StoreError(
+            f"{directory}: store manifest version {manifest.get('version')!r} "
+            f"is not readable (this build reads version {_MANIFEST_VERSION} "
+            "only); a legacy v1/v2 store upgrades in place with "
+            f"`python -m repro.store migrate {directory}`"
         )
     store.generation = int(manifest.get("generation", 0))
     for name, spec in manifest["shards"].items():
-        shard = store.create_shard(
-            name, codec=spec["codec"], universe=spec["universe"]
-        )
-        try:
-            verify_codec_params(shard.codec, spec.get("params"))
-        except ManifestParamsError as err:
-            if strict:
-                raise
-            store.load_errors.append(err)
-        if spec.get("segment") is not None:
-            _attach_mapped_shard(store, shard, directory, spec, strict=strict)
-            continue
-        for term, rel in spec.get("terms", {}).items():
-            path = os.path.join(directory, rel)
-            try:
-                shard.postings[term] = load(path)
-            except Exception as exc:
-                err2 = ShardLoadError(name, term, path, exc)
-                if strict:
-                    raise err2 from exc
-                store.load_errors.append(err2)
-                shard.failed_terms[term] = str(exc)
+        shard = _declare_shard(store, name, spec, strict=strict)
+        _attach_mapped_shard(store, shard, directory, spec, strict=strict)
     return manifest
 
 
@@ -486,7 +468,7 @@ def _attach_mapped_shard(
     *,
     strict: bool,
 ) -> None:
-    """Mount one v3 shard: map the segment, install the lazy postings view.
+    """Mount one shard: map the segment, install the lazy postings view.
 
     No per-term work happens here — :class:`repro.store.mapped.MappedSegment`
     validates structure (and, strict, the metadata CRC) in O(file) C-speed
@@ -494,7 +476,7 @@ def _attach_mapped_shard(
     of a damaged segment degrades only the affected terms (pre-marked
     bounds failures land in ``failed_terms`` now; payload damage lands
     there at first touch); whole-file damage leaves the shard empty with
-    the error recorded, mirroring the v2 lenient contract.
+    the error recorded.
     """
     from repro.store.mapped import MappedPostings, MappedSegment
 
@@ -518,56 +500,66 @@ def _attach_mapped_shard(
         )
 
 
+def _load_legacy(directory: str, manifest: Mapping, *, strict: bool) -> PostingStore:
+    """The v1/v2 reader (one ``.rpro`` per term), kept for :func:`migrate_store` only."""
+    store = PostingStore()
+    store.generation = int(manifest.get("generation", 0))
+    for name, spec in manifest["shards"].items():
+        shard = _declare_shard(store, name, spec, strict=strict)
+        for term, rel in spec.get("terms", {}).items():
+            path = os.path.join(directory, rel)
+            try:
+                shard.postings[term] = load(path)
+            except Exception as exc:
+                if strict:
+                    raise ShardLoadError(name, term, path, exc) from exc
+    return store
+
+
+def _files_with_suffix(directory: str, suffix: str) -> list[str]:
+    return [
+        os.path.join(root, f)
+        for root, _dirs, files in os.walk(directory)
+        for f in files
+        if f.endswith(suffix)
+    ]
+
+
 def migrate_store(directory: str | os.PathLike, *, strict: bool = True) -> dict:
     """One-shot, in-place migration of a legacy (v1/v2) store to v3.
 
-    Pending WAL files (a writable store closed mid-stream) are folded in
-    first via a compaction, so no acknowledged write is lost.  The store
-    is then rewritten in the mapped layout and the legacy per-term
-    ``.rpro`` files are deleted.  Idempotent: migrating a v3 store is a
-    no-op.  Returns a summary dict (``shards``, ``terms``,
-    ``segment_bytes``, ``removed_files``).
+    The per-term lists are rewritten as mapped segments under a v3
+    manifest and the legacy ``.rpro`` files deleted; pending WAL files (a
+    writable store closed mid-stream) are then folded in by one
+    compaction, so no acknowledged write is lost (replay over the
+    migrated base is idempotent, so a crash anywhere is re-runnable).
+    With ``strict=False`` corrupt lists are dropped instead of failing
+    the migration.  Idempotent: migrating a v3 store is a no-op.
+    Returns a summary dict (``shards``, ``terms``, ``segment_bytes``,
+    ``removed_files``).
     """
     directory = os.fspath(directory)
     with open(manifest_path(directory)) as fh:
-        version = json.load(fh).get("version")
-    if version == _MANIFEST_VERSION_MAPPED:
-        store = PostingStore.load(directory, strict=strict)
-        return {
-            "already_mapped": True,
-            "shards": len(store),
-            "terms": sum(len(store.shard(n).postings) for n in store.shard_names()),
-            "segment_bytes": 0,
-            "removed_files": 0,
-        }
-    if any(fname.startswith("wal-") for fname in os.listdir(directory)):
-        from repro.store.segments import WritablePostingStore
-
-        writable = WritablePostingStore.open(directory, strict=strict)
-        writable.close(compact=True)
-    store = PostingStore.load(directory, strict=strict)
+        manifest = json.load(fh)
     legacy: list[str] = []
-    for root, _dirs, files in os.walk(directory):
-        legacy.extend(
-            os.path.join(root, f) for f in files if f.endswith(".rpro")
-        )
-    store.save(directory, mapped=True)
-    for path in legacy:
-        try:
+    if manifest.get("version") in _LEGACY_MANIFEST_VERSIONS:
+        _load_legacy(directory, manifest, strict=strict).save(directory)
+        legacy = _files_with_suffix(directory, ".rpro")
+        for path in legacy:
             os.unlink(path)
-        except OSError:
-            pass
-    segment_bytes = 0
-    for root, _dirs, files in os.walk(directory):
-        segment_bytes += sum(
-            os.path.getsize(os.path.join(root, f))
-            for f in files
-            if f.endswith(".rpro3")
-        )
+        if any(fname.startswith("wal-") for fname in os.listdir(directory)):
+            from repro.store.segments import WritablePostingStore
+
+            WritablePostingStore.open(directory, strict=strict).close(compact=True)
+    # Anything else that is not v3 (an unknown version) is refused here.
+    store = PostingStore.load(directory, strict=strict)
+    already = manifest.get("version") == _MANIFEST_VERSION
     return {
-        "already_mapped": False,
+        "already_mapped": already,
         "shards": len(store),
         "terms": sum(len(store.shard(n).postings) for n in store.shard_names()),
-        "segment_bytes": segment_bytes,
+        "segment_bytes": 0 if already else sum(
+            os.path.getsize(p) for p in _files_with_suffix(directory, ".rpro3")
+        ),
         "removed_files": len(legacy),
     }

@@ -154,11 +154,8 @@ def test_churn_experiment_rows():
         requests_per_client=4,
         ingest_batches=4,
         ops_per_batch=3,
-        backings=("in-heap", "mapped"),
     )
-    assert codecs_of(rows) == {"Roaring"}
-    assert len(rows) == 2  # one row per backing
-    assert [r.extra["store_backing"] for r in rows] == ["in-heap", "mapped"]
+    assert [r.codec for r in rows] == ["Roaring"]
     for row in rows:
         assert row.workload == "churn"
         extra = row.extra

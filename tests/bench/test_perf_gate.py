@@ -132,16 +132,17 @@ def test_measure_decode_frozen_reference_only_in_full_mode():
 
 
 def test_measure_mapped_open_schema_and_invariants(monkeypatch):
-    """The mapped cold-open entry: flat open, heap far below in-heap."""
+    """The mapped cold-open entry: flat open, heap peak recorded for the
+    baseline gate, no legacy (v2) reference fields."""
     monkeypatch.setattr(perf_gate, "MAPPED_QUICK_TERMS", 64)
     entry = perf_gate._measure_mapped_open(quick=True)
     assert entry["kind"] == "mapped-open" and entry["terms"] == 64
     assert entry["open_ms"] > 0 and entry["open_4x_ms"] > 0
-    # the in-process assertions already enforce these; re-check the
+    # the in-process assertion already enforces this; re-check the
     # recorded numbers tell the same story
     assert entry["flatness_ratio"] <= perf_gate.MAPPED_FLATNESS_BOUND
-    assert entry["heap_peak_kb"] < entry["legacy_heap_peak_kb"]
-    assert entry["heap_savings"] > 1.0
+    assert entry["heap_peak_kb"] > 0
+    assert not any(k.startswith("legacy_") or k == "heap_savings" for k in entry)
 
 
 def test_measure_compressed_intersect_schema_and_bound(monkeypatch):

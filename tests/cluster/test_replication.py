@@ -1,6 +1,7 @@
 """Router-mediated replication: primary-durable acks, follower shipping,
 and the bounded-staleness contract."""
 
+import asyncio
 import time
 
 import pytest
@@ -97,6 +98,49 @@ def test_dead_follower_bounds_ship_attempts_and_counts_failure(
         response = target.query("b")
     assert response.status == "ok"
     assert cluster.router.metrics.shipped_batches == 0
+
+
+def test_staleness_is_the_next_batch_age_after_the_head_is_dropped(
+    cluster_factory, writable_engines, monkeypatch
+):
+    """Two batches queued to a dead follower; once the first is dropped
+    the bound is the second batch's age — never 0, never the first's."""
+    from repro.api.errors import BackendUnavailableError
+    from repro.cluster import router as router_module
+
+    cluster = cluster_factory(
+        n_backends=2, replication=2, engines=writable_engines,
+        ship_retries=1,
+    )
+    follower_id = cluster.shardmap.followers("s0")[0]
+    cluster.backend_bgs[int(follower_id[1:])].stop()
+
+    real_request = router_module.backend_request_json
+    ship_attempts = []
+
+    async def dead_follower(backend_id, *args, **kwargs):
+        if backend_id != follower_id:
+            return await real_request(backend_id, *args, **kwargs)
+        ship_attempts.append(time.monotonic())
+        # Batch 1 fails slowly enough for batch 2 to queue up behind it;
+        # batch 2 then stays undelivered at the head until teardown.
+        await asyncio.sleep(0.4 if len(ship_attempts) == 1 else 60.0)
+        raise BackendUnavailableError(backend_id, "connection refused")
+
+    monkeypatch.setattr(router_module, "backend_request_json", dead_follower)
+    with connect(f"http://127.0.0.1:{cluster.port}") as target:
+        assert target.ingest([("add", "s0", "c", [1])], batch_id="first").ok
+        time.sleep(0.15)
+        second_sent = time.monotonic()
+        assert target.ingest([("add", "s0", "c", [2])], batch_id="second").ok
+        assert _wait_until(lambda: cluster.router.metrics.ship_failures == 1)
+        assert _wait_until(lambda: len(ship_attempts) == 2)
+        first_sent = ship_attempts[0]
+        staleness_ms = target.query("c").detail["max_staleness_ms"]
+        now = time.monotonic()
+    assert 0.0 < staleness_ms <= (now - second_sent) * 1000.0
+    assert staleness_ms < (now - first_sent) * 1000.0 - 100.0  # not batch 1's age
+    assert cluster.router.metrics.ship_failures == 1  # batch 2 still pending
 
 
 def test_ingest_to_unknown_shard_is_rejected_before_any_write(

@@ -1,9 +1,9 @@
 """Envelope versioning at the router boundary.
 
-The router accepts every supported wire version (a v1 client keeps
-working through it) but always re-serialises sub-requests as v2, so
-mixed-version fleets interoperate.  Shard-map version skew rides a
-separate channel — the pin header — and resolves via 410 + refetch.
+The router speaks the one supported wire version, like the server it
+fronts; anything else — the retired v1 included — is a 400.  Shard-map
+version skew rides a separate channel — the pin header — and resolves
+via 410 + refetch.
 """
 
 import http.client
@@ -45,8 +45,13 @@ def test_router_accepts_every_supported_envelope(cluster_factory, version):
 
 @pytest.mark.parametrize(
     "body",
-    [{"query": "a"}, {"v": 99, "query": "a"}, {"v": "2", "query": "a"}],
-    ids=["missing-v", "unknown-major", "string-v"],
+    [
+        {"query": "a"},
+        {"v": 99, "query": "a"},
+        {"v": "2", "query": "a"},
+        {"v": 1, "query": "a"},
+    ],
+    ids=["missing-v", "unknown-major", "string-v", "previous-major"],
 )
 def test_bad_envelopes_get_400_from_the_router(cluster_factory, body):
     cluster = cluster_factory(n_backends=2, replication=1)
@@ -56,6 +61,16 @@ def test_bad_envelopes_get_400_from_the_router(cluster_factory, body):
     assert status == 400
     error = json.loads(payload)["error"]
     assert f"v{WIRE_VERSION}" in error
+
+
+def test_previous_major_ingest_gets_400_from_the_router(cluster_factory):
+    cluster = cluster_factory(n_backends=2, replication=1)
+    body = {"v": 1, "ops": [{"op": "add", "shard": "s0", "term": "a", "values": [1]}]}
+    status, _headers, payload = _raw_request(
+        cluster.port, "POST", "/ingest", json.dumps(body).encode()
+    )
+    assert status == 400
+    assert "unsupported wire version 1" in json.loads(payload)["error"]
 
 
 def test_shardmap_endpoint_serves_version_header(cluster_factory):

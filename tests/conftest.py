@@ -47,3 +47,21 @@ def sorted_unique(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
     return np.sort(rng.choice(domain, size=min(n, domain), replace=False)).astype(
         np.int64
     )
+
+
+def corrupt_term_payload(directory, shard: str, term: str) -> None:
+    """Flip one byte inside *term*'s payload blob in a saved store's segment."""
+    import json
+    from pathlib import Path
+
+    from repro.store.mapped import MappedSegment
+
+    directory = Path(directory)
+    manifest = json.loads((directory / "manifest.json").read_text())
+    path = directory / manifest["shards"][shard]["segment"]
+    segment = MappedSegment.open(path)
+    blob = bytes(segment.raw_blob(segment.find(term)))
+    segment.release()
+    data = bytearray(path.read_bytes())
+    data[data.index(blob) + len(blob) // 2] ^= 0xFF
+    path.write_bytes(bytes(data))

@@ -13,6 +13,7 @@ import json
 import random
 import threading
 import time
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -115,9 +116,7 @@ def _client(stub, **kwargs):
     kwargs.setdefault("timeout_s", 5.0)
     kwargs.setdefault("sleep", lambda s: None)
     kwargs.setdefault("rng", _MaxRng())
-    return StoreClient(
-        "127.0.0.1", stub.server_address[1], _warn_deprecated=False, **kwargs
-    )
+    return StoreClient("127.0.0.1", stub.server_address[1], **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +209,6 @@ def test_backoff_ceiling_is_capped_exponential():
         backoff_cap_s=0.4,
         sleep=lambda s: None,
         rng=_MaxRng(),
-        _warn_deprecated=False,
     )
     assert [client.backoff_s(n) for n in range(5)] == [
         0.05,
@@ -231,7 +229,6 @@ def test_backoff_is_full_jitter_within_the_ceiling():
         backoff_cap_s=0.4,
         sleep=lambda s: None,
         rng=random.Random(1234),
-        _warn_deprecated=False,
     )
     for attempt, ceiling in enumerate([0.05, 0.1, 0.2, 0.4, 0.4]):
         draws = {client.backoff_s(attempt) for _ in range(32)}
@@ -248,16 +245,15 @@ def test_retry_after_hint_is_a_floor_under_jitter():
         backoff_cap_s=0.4,
         sleep=lambda s: None,
         rng=_MinRng(),
-        _warn_deprecated=False,
     )
     assert client.backoff_s(0) == 0.0
     assert client.backoff_s(3, retry_after_s=0.25) == 0.25
 
 
-def test_direct_construction_emits_exactly_one_deprecation_warning():
-    with pytest.warns(DeprecationWarning, match="repro.api.connect") as rec:
+def test_direct_construction_emits_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         StoreClient("h", 1)
-    assert len(rec) == 1
 
 
 def test_query_serialises_ast_and_deadline_header(stub):
@@ -363,7 +359,6 @@ def test_exhausted_retry_budget_stops_before_max_retries(stub):
         backoff_base_s=0.15,
         backoff_cap_s=2.0,
         rng=_MaxRng(),
-        _warn_deprecated=False,
     )  # real sleep: the wall clock is the thing under test
     t0 = time.monotonic()
     with pytest.raises(ServerUnavailableError) as exc_info:

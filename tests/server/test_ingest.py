@@ -144,7 +144,7 @@ def test_wrong_major_version_is_400(writable_engine, live_server, path, body):
 
 
 def test_unversioned_bodies_rejected(writable_engine, live_server):
-    # The v1 deprecation window is closed: "v" is mandatory since v2.
+    # "v" is mandatory.
     server = live_server(writable_engine)
     status, _h, payload = _raw_request(
         server.port,
@@ -156,16 +156,19 @@ def test_unversioned_bodies_rejected(writable_engine, live_server):
     assert "wire version" in json.loads(payload)["error"]
 
 
-def test_previous_major_version_still_accepted(writable_engine, live_server):
-    # v1 clients that always sent an explicit "v" keep working.
+def test_previous_major_version_is_rejected(writable_engine, live_server):
+    # v1 is an unknown major like any other: 400, nothing ingested.
     server = live_server(writable_engine)
-    status, _h, _p = _raw_request(
-        server.port,
-        "POST",
-        "/ingest",
-        json.dumps({"v": 1, "ops": [_op(values=[1])]}).encode(),
-    )
-    assert status == 200
+    for path, body in (
+        ("/query", {"query": "a"}),
+        ("/ingest", {"ops": [_op(values=[1])]}),
+    ):
+        status, _h, payload = _raw_request(
+            server.port, "POST", path, json.dumps({"v": 1, **body}).encode()
+        )
+        assert status == 400, path
+        assert "unsupported wire version 1" in json.loads(payload)["error"]
+    assert writable_engine.store.pending_ops() == 0
 
 
 def test_client_sends_versioned_envelopes(writable_engine, live_server):

@@ -37,12 +37,11 @@ def test_request_minimal_body():
 
 
 def test_envelope_versioning():
-    assert WIRE_VERSION in SUPPORTED_WIRE_VERSIONS
-    for v in SUPPORTED_WIRE_VERSIONS:
-        check_envelope({"v": v})  # accepted versions pass silently
+    assert SUPPORTED_WIRE_VERSIONS == frozenset({WIRE_VERSION}) == frozenset({2})
+    check_envelope({"v": WIRE_VERSION})  # the one accepted version passes silently
     with pytest.raises(ProtocolError, match="missing the wire version"):
-        check_envelope({"query": "a"})  # the v1 unversioned window is closed
-    for bad in (WIRE_VERSION + 1, 0, True, "2"):
+        check_envelope({"query": "a"})
+    for bad in (WIRE_VERSION + 1, 1, 0, True, "2"):
         with pytest.raises(ProtocolError):
             check_envelope({"v": bad})
 

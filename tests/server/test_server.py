@@ -20,6 +20,7 @@ from repro.server import (
 )
 from repro.store import And, Or, PostingStore, QueryEngine, Term
 
+from tests.conftest import corrupt_term_payload
 from tests.server.conftest import make_store
 
 
@@ -154,9 +155,7 @@ def test_lenient_store_serves_degraded_over_http(tmp_path, live_server):
     shard.add("doomed", np.arange(0, 3_000, 7))
     directory = tmp_path / "index"
     store.save(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    victim = directory / manifest["shards"]["s0"]["terms"]["doomed"]
-    victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
+    corrupt_term_payload(directory, "s0", "doomed")
 
     lenient = PostingStore.load(directory, strict=False)
     server = live_server(QueryEngine(lenient))

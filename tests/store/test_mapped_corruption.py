@@ -9,8 +9,7 @@ boundary truncations, and the contract is checked both ways:
   region), and strict *access* raises for payload damage (per-term CRC);
 * **lenient** open degrades only the affected terms — the rest of the
   shard keeps serving bit-exact, and whole-file damage (bad magic,
-  truncation) leaves an empty shard with the error recorded, exactly
-  like a lenient v2 load of a corrupt list.
+  truncation) leaves an empty shard with the error recorded.
 """
 
 from __future__ import annotations
@@ -228,14 +227,14 @@ def test_lenient_open_premarks_out_of_bounds_entries(segment_path):
 
 
 # ----------------------------------------------------------------------
-# Store-level contract (mirrors test_failure_injection for v2)
+# Store-level contract
 # ----------------------------------------------------------------------
 def _mapped_store_dir(tmp_path):
     store = PostingStore()
     store.create_shard("s0", codec="WAH", universe=UNIVERSE)
     for term, vals in TABLE.items():
         store.add_list("s0", term, vals)
-    store.save(tmp_path, mapped=True)
+    store.save(tmp_path)
     return os.path.join(tmp_path, "s0", "segment-g000000.rpro3")
 
 

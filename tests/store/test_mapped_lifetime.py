@@ -85,7 +85,7 @@ def test_pin_defers_disposal_until_decode_finishes(tmp_path):
 
 
 def test_snapshot_keeps_serving_old_segment_across_compaction(tmp_path):
-    store = WritablePostingStore.open(tmp_path, mapped=True)
+    store = WritablePostingStore.open(tmp_path)
     store.create_shard("s0", codec="Roaring", universe=UNIVERSE)
     store.append("s0", "x", list(range(0, 300, 3)))
     store.append("s0", "y", [7, 77, 777])
@@ -112,7 +112,7 @@ def test_snapshot_keeps_serving_old_segment_across_compaction(tmp_path):
 
 
 def test_exactly_one_segment_file_per_shard_after_churn(tmp_path):
-    store = WritablePostingStore.open(tmp_path, mapped=True)
+    store = WritablePostingStore.open(tmp_path)
     store.create_shard("s0", codec="Adaptive", universe=UNIVERSE)
     for round_ in range(5):
         store.append("s0", f"t{round_}", [round_, round_ + 100])
@@ -132,7 +132,7 @@ def test_concurrent_readers_race_compacting_writer(tmp_path):
     """Readers hammering a stable term while the writer churns other
     terms through ingest + compaction must always see the same values
     and never hit a lifetime error."""
-    store = WritablePostingStore.open(tmp_path, mapped=True, fsync=False)
+    store = WritablePostingStore.open(tmp_path, fsync=False)
     store.create_shard("s0", codec="Roaring", universe=UNIVERSE)
     stable = sorted(np.random.default_rng(3).choice(2000, 200, replace=False).tolist())
     store.append("s0", "stable", stable)
@@ -171,7 +171,7 @@ def test_concurrent_readers_race_compacting_writer(tmp_path):
 def test_reopened_store_never_reuses_stale_cache_arrays(tmp_path):
     """Cache-key epochs: same directory, same term, different mapping —
     a shared cache across a close/reopen must miss, not serve stale."""
-    store = WritablePostingStore.open(tmp_path, mapped=True)
+    store = WritablePostingStore.open(tmp_path)
     store.create_shard("s0", codec="WAH", universe=UNIVERSE)
     store.append("s0", "a", [1, 2, 3])
     store.compact()

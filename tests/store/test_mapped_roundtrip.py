@@ -2,11 +2,11 @@
 
 The mapped battery's core invariant: writing random posting sets in the
 v3 segment layout and reopening them via ``mmap`` must be **bit-exact**
-against three independent references —
+against two independent references —
 
 * the original in-memory arrays (the numpy differential oracle);
-* the legacy v2 in-heap load of the *same* store;
-* the cache-aware served decode path (``decode_term``), mapped vs not.
+* the cache-aware served decode path (``decode_term``), off the map vs
+  off the in-heap store the segment was saved from.
 
 Codecs sweep the whole registry plus ``Adaptive``, so all 24 wire
 formats parse off an aligned zero-copy view.  A second suite checks the
@@ -25,13 +25,19 @@ from hypothesis import strategies as st
 from repro import all_codec_names
 from repro.core.decode import decode
 from repro.core.registry import get_codec
+from repro.core.serialize import dump
 from repro.store.mapped import (
     MappedIntegerSet,
     MappedPostings,
     MappedSegment,
     write_mapped_segment,
 )
-from repro.store.store import PostingStore, migrate_store
+from repro.store.store import (
+    PostingStore,
+    manifest_dict,
+    migrate_store,
+    write_manifest,
+)
 
 SETTINGS = settings(
     max_examples=10,
@@ -83,19 +89,17 @@ def _build_store(codec: str, table) -> PostingStore:
 @SETTINGS
 @given(table=posting_tables())
 def test_mapped_store_is_bit_exact_for_every_codec(codec, table, tmp_path_factory):
-    """v3 load == v2 load == original arrays, for all 24 codecs + Adaptive."""
+    """mapped load == in-heap store == original arrays, for all 24 codecs + Adaptive."""
     tmp = tmp_path_factory.mktemp("mapped")
     store = _build_store(codec, table)
-    store.save(tmp / "v2")
-    store.save(tmp / "v3", mapped=True)
+    store.save(tmp)
 
-    legacy = PostingStore.load(tmp / "v2")
-    mapped = PostingStore.load(tmp / "v3")
+    mapped = PostingStore.load(tmp)
     assert isinstance(mapped.shard("s0").postings, MappedPostings)
 
     for term, vals in table.items():
         off_map = mapped.decode_term("s0", term)
-        in_heap = legacy.decode_term("s0", term)
+        in_heap = store.decode_term("s0", term)
         assert np.array_equal(off_map, vals), (codec, term)
         assert np.array_equal(off_map, in_heap), (codec, term)
 
@@ -104,16 +108,31 @@ def test_mapped_store_is_bit_exact_for_every_codec(codec, table, tmp_path_factor
     assert mapped.shard("s0").size_bytes == store.shard("s0").size_bytes
 
 
+def _save_legacy_v2(store: PostingStore, directory) -> None:
+    """Lay *store* out as the removed v2 writer did: one ``.rpro`` per
+    term.  Codec breadth only — the byte-level guard is the golden
+    directory in ``test_legacy_format.py``."""
+    manifest = manifest_dict(store)
+    manifest["version"] = 2
+    for name, spec in manifest["shards"].items():
+        (directory / name).mkdir()
+        spec["terms"] = {}
+        for i, (term, cs) in enumerate(sorted(store.shard(name).postings.items())):
+            spec["terms"][term] = f"{name}/{i:06d}.rpro"
+            dump(cs, directory / name / f"{i:06d}.rpro")
+    write_manifest(str(directory), manifest)
+
+
 @pytest.mark.parametrize("codec", ["Roaring", "WAH", "GroupVB", "Adaptive"])
 @SETTINGS
 @given(table=posting_tables())
 def test_migration_preserves_every_list(codec, table, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("migrate")
     store = _build_store(codec, table)
-    store.save(tmp)
+    _save_legacy_v2(store, tmp)
     summary = migrate_store(tmp)
     assert not summary["already_mapped"]
-    assert summary["terms"] == len(table)
+    assert summary["terms"] == summary["removed_files"] == len(table)
 
     reopened = PostingStore.load(tmp)
     assert isinstance(reopened.shard("s0").postings, MappedPostings)

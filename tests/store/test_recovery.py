@@ -37,7 +37,7 @@ _N_TERMS = 16
 _DOMAIN = 2**17
 
 
-def _spawn_ingest(directory, *, batches, compact_every=0, sleep_ms=2.0, mapped=False):
+def _spawn_ingest(directory, *, batches, compact_every=0, sleep_ms=2.0):
     cmd = [
         sys.executable,
         "-m",
@@ -60,8 +60,6 @@ def _spawn_ingest(directory, *, batches, compact_every=0, sleep_ms=2.0, mapped=F
     ]
     if compact_every:
         cmd += ["--compact-every", str(compact_every)]
-    if mapped:
-        cmd += ["--mapped"]
     env = dict(os.environ)
     env["PYTHONPATH"] = _SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.Popen(
@@ -143,6 +141,34 @@ def _assert_store_matches(store, oracle):
         assert result.values.tolist() == oracle.get(term, []), term
 
 
+def _observed(store):
+    engine = QueryEngine(store)
+    return {
+        t: set(engine.execute(Term(t)).values.tolist())
+        for t in [f"t{i:03d}" for i in range(_N_TERMS)]
+    }
+
+
+def _matching_prefix(observed, acked_ops):
+    """Length of the first op-stream prefix >= *acked_ops* that yields
+    exactly *observed*, or None — a kill may land mid-compaction, so the
+    recovered state is held to *some* prefix covering the acked ops."""
+    oracle: dict[str, set] = {t: set() for t in observed}
+    mismatched = {t for t, v in observed.items() if v}
+    for n, (kind, _shard, term, values) in enumerate(_flat_ops(5_000), start=1):
+        if kind == "add":
+            oracle[term].update(values)
+        else:
+            oracle[term].difference_update(values)
+        if oracle[term] == observed[term]:
+            mismatched.discard(term)
+        else:
+            mismatched.add(term)
+        if n >= acked_ops and not mismatched:
+            return n
+    return None
+
+
 # ----------------------------------------------------------------------
 def test_sigkill_mid_ingest_loses_no_acked_write(tmp_path):
     proc = _spawn_ingest(tmp_path, batches=5_000, sleep_ms=1.0)
@@ -192,27 +218,8 @@ def test_sigkill_during_compaction_churn_recovers(tmp_path):
     # segments + WAL replay.  Whatever the kill interrupted, that state
     # must equal *some* prefix of the deterministic op stream, at least
     # as long as the acked prefix.
-    engine = QueryEngine(store)
-    observed = {
-        t: set(engine.execute(Term(t)).values.tolist())
-        for t in [f"t{i:03d}" for i in range(_N_TERMS)]
-    }
-    full = _flat_ops(5_000)
-    oracle: dict[str, set] = {t: set() for t in observed}
-    mismatched = {t for t, v in observed.items() if v}
-    matched = None
-    for n, (kind, _shard, term, values) in enumerate(full, start=1):
-        if kind == "add":
-            oracle[term].update(values)
-        else:
-            oracle[term].difference_update(values)
-        if oracle[term] == observed[term]:
-            mismatched.discard(term)
-        else:
-            mismatched.add(term)
-        if n >= acked_ops and not mismatched:
-            matched = n
-            break
+    observed = _observed(store)
+    matched = _matching_prefix(observed, acked_ops)
     assert matched is not None, (
         f"recovered state matches no op-stream prefix >= {acked_ops} acked "
         f"ops (WAL holds {len(_wal_data_ops(tmp_path))} data records)"
@@ -233,11 +240,11 @@ def test_clean_ingest_run_is_bit_exact_after_reopen(tmp_path):
 
 
 def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
-    """Same durability contract when segments are v3 memory-mapped files:
-    WAL replay over mapped bases serves the acked prefix bit-exact, and
-    compaction after recovery rewrites the mapped segments in place."""
+    """WAL replay over mapped segments that compactions already rewrote
+    serves the acked prefix bit-exact, and compaction after recovery
+    retires every superseded segment generation."""
     proc = _spawn_ingest(
-        tmp_path, batches=5_000, compact_every=3, sleep_ms=0.5, mapped=True
+        tmp_path, batches=5_000, compact_every=3, sleep_ms=0.5
     )
     try:
         acked = _kill_after_acks(proc, min_acks=7)
@@ -255,32 +262,12 @@ def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
     assert not glob.glob(os.path.join(str(tmp_path), "*", "*.rpro"))
 
     durable = _wal_data_ops(tmp_path)
-    store = WritablePostingStore.open(tmp_path)  # inherits mapped=True
-    assert store.mapped
+    store = WritablePostingStore.open(tmp_path)
     # Recovered state = mapped segments + WAL replay.  The kill may have
     # landed mid-compaction, so (as in the churn test above) hold the
     # state to *some* op-stream prefix covering at least the acked ops.
-    engine = QueryEngine(store)
-    observed = {
-        t: set(engine.execute(Term(t)).values.tolist())
-        for t in [f"t{i:03d}" for i in range(_N_TERMS)]
-    }
-    full = _flat_ops(5_000)
-    oracle: dict[str, set] = {t: set() for t in observed}
-    mismatched = {t for t, v in observed.items() if v}
-    matched = None
-    for n, (kind, _shard, term, values) in enumerate(full, start=1):
-        if kind == "add":
-            oracle[term].update(values)
-        else:
-            oracle[term].difference_update(values)
-        if oracle[term] == observed[term]:
-            mismatched.discard(term)
-        else:
-            mismatched.add(term)
-        if n >= acked_ops and not mismatched:
-            matched = n
-            break
+    observed = _observed(store)
+    matched = _matching_prefix(observed, acked_ops)
     assert matched is not None, (
         f"mapped recovery matches no op-stream prefix >= {acked_ops} acked "
         f"ops (WAL holds {len(durable)} data records)"
@@ -289,10 +276,7 @@ def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
     # Post-recovery compaction retires superseded generations: exactly
     # one segment file per shard, and results are unchanged.
     store.compact()
-    frozen = {
-        t: set(engine.execute(Term(t)).values.tolist()) for t in observed
-    }
-    assert frozen == observed
+    assert _observed(store) == observed
     per_shard: dict[str, list] = {}
     for seg in glob.glob(os.path.join(str(tmp_path), "*", "*.rpro3")):
         per_shard.setdefault(os.path.dirname(seg), []).append(seg)
@@ -300,25 +284,19 @@ def test_sigkill_mid_ingest_recovers_on_mapped_base(tmp_path):
     store.close()
 
 
-def test_clean_mapped_run_matches_legacy_run(tmp_path):
-    """A mapped ingest and a legacy ingest of the same op stream converge
-    to the same served values."""
-    legacy_dir, mapped_dir = tmp_path / "legacy", tmp_path / "mapped"
-    for directory, mapped in ((legacy_dir, False), (mapped_dir, True)):
-        # compact_every makes the base durable: mapped-ness lives in the
-        # manifest, which only exists once a compaction has run.
-        proc = _spawn_ingest(
-            directory, batches=8, compact_every=4, sleep_ms=0.0, mapped=mapped
-        )
-        _out, err = proc.communicate(timeout=120)
-        assert proc.returncode == 0, err.decode()
+def test_clean_compacting_run_writes_v3_only(tmp_path):
+    """A clean CLI ingest with compactions serves the full op stream
+    after reopen, from a manifest-v3 tree with no per-term files."""
+    proc = _spawn_ingest(tmp_path, batches=8, compact_every=4, sleep_ms=0.0)
+    _out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 0, err.decode()
 
-    oracle = _apply(_flat_ops(8))
-    for directory, expect_mapped in ((legacy_dir, False), (mapped_dir, True)):
-        store = WritablePostingStore.open(directory)
-        assert store.mapped is expect_mapped
-        _assert_store_matches(store, oracle)
-        store.close()
+    with open(tmp_path / "manifest.json") as fh:
+        assert json.load(fh)["version"] == 3
+    assert not glob.glob(os.path.join(str(tmp_path), "**", "*.rpro"), recursive=True)
+    store = WritablePostingStore.open(tmp_path)
+    _assert_store_matches(store, _apply(_flat_ops(8)))
+    store.close()
 
 
 def test_compact_subcommand_seals_wal(tmp_path):

@@ -7,15 +7,19 @@ sorted-set oracle at every observation point —
 * live, through the delta overlay (no compaction yet);
 * after a simulated crash (WAL replay, no ``close()``);
 * after compaction folds the deltas into compressed segments;
-* after a final read-only ``PostingStore.load`` of the directory.
+* after a final read-only ``PostingStore.load`` of the directory;
+* after that loaded store is saved back over its own directory.
 
 Codecs sweep the registry (plus ``Adaptive``), so every representation's
-compress/decompress sits under the same churn.
+compress/decompress sits under the same churn.  Every writer
+(``compact`` / ``close`` / ``save``) is also held to the format census:
+manifest version 3, one ``.rpro3`` per shard, no per-term ``.rpro``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import json
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -73,6 +77,13 @@ def _oracle(batches):
     return {t: sorted(v) for t, v in state.items()}
 
 
+def _assert_format_census(directory, label):
+    manifest = json.loads((directory / "manifest.json").read_text())
+    assert manifest["version"] == 3, label
+    assert not list(directory.rglob("*.rpro")), label
+    assert len(list(directory.rglob("*.rpro3"))) == len(manifest["shards"]), label
+
+
 def _assert_matches(store, oracle, label):
     engine = QueryEngine(store)
     for term in TERMS:
@@ -109,7 +120,15 @@ def test_ingest_replay_compact_roundtrip(codec, batches, tmp_path_factory):
     recovered.compact()
     assert recovered.shard("s0").pending_ops() == 0
     _assert_matches(recovered, oracle, "compacted")
+    _assert_format_census(tmp, "compacted")
     recovered.close()
+    _assert_format_census(tmp, "closed")
 
     readonly = PostingStore.load(tmp)
     _assert_matches(readonly, oracle, "readonly-reload")
+
+    # Re-saving over the directory the store is mapped from must not
+    # tear the segment under its own reader.
+    readonly.save(tmp)
+    _assert_format_census(tmp, "re-saved")
+    _assert_matches(PostingStore.load(tmp), oracle, "re-saved-reload")

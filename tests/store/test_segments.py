@@ -191,8 +191,7 @@ def test_compact_drops_fully_deleted_terms(tmp_path):
     store.compact()
     store.delete("s0", "gone", [1, 2])
     store.compact()
-    manifest = json.load(open(manifest_path(tmp_path)))
-    assert "gone" not in manifest["shards"]["s0"]["terms"]
+    assert "gone" not in PostingStore.load(tmp_path).shard("s0").postings
     result = _query(store, "gone")
     assert result.values is not None and result.values.tolist() == []
     store.close()
@@ -203,11 +202,13 @@ def test_compact_removes_replaced_segment_files(tmp_path):
     store.create_shard("s0", codec="Roaring", universe=4096)
     store.append("s0", "t", [1])
     store.compact()
-    first_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro")))
+    first_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro3")))
     store.append("s0", "t", [2])
     store.compact()
-    second_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro")))
-    # The rewritten term's old file is gone, not accumulating forever.
+    second_gen = set(glob.glob(str(tmp_path / "s0" / "*.rpro3")))
+    # The rewritten shard's old generation-stamped segment is gone, not
+    # accumulating forever.
+    assert len(first_gen) == len(second_gen) == 1
     assert first_gen.isdisjoint(second_gen)
     store.close()
 
@@ -343,13 +344,17 @@ def test_orphan_segment_files_are_garbage_collected(tmp_path):
     store.create_shard("s0", codec="Roaring", universe=4096)
     store.append("s0", "t", [1])
     store.close()
-    orphan = tmp_path / "s0" / "g000099-000000.rpro"
-    orphan.write_bytes(b"leftover from an interrupted compaction")
-    stale_tmp = tmp_path / "manifest.json.tmp"
-    stale_tmp.write_bytes(b"{}")
+    debris = [
+        tmp_path / "s0" / "segment-g000099.rpro3",  # interrupted compaction
+        tmp_path / "s0" / "segment-g000099.rpro3.tmp",  # killed before rename
+        tmp_path / "s0" / "g000099-000000.rpro",  # migration killed before unlink
+        tmp_path / "manifest.json.tmp",
+    ]
+    for path in debris:
+        path.write_bytes(b"leftover")
     WritablePostingStore.open(tmp_path, fsync=False).close()
-    assert not orphan.exists()
-    assert not stale_tmp.exists()
+    assert not any(path.exists() for path in debris)
+    assert len(glob.glob(str(tmp_path / "s0" / "*"))) == 1  # the live segment
 
 
 def test_recovery_preserves_multi_shard_ops(tmp_path):
@@ -366,7 +371,7 @@ def test_recovery_preserves_multi_shard_ops(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Manifest v2: codec params recorded and verified
+# Manifest: codec params recorded and verified
 # ----------------------------------------------------------------------
 def test_manifest_records_codec_params(tmp_path):
     store = WritablePostingStore.open(tmp_path)
@@ -374,7 +379,7 @@ def test_manifest_records_codec_params(tmp_path):
     store.append("s0", "t", [1])
     store.close()
     manifest = json.load(open(manifest_path(tmp_path)))
-    assert manifest["version"] == 2
+    assert manifest["version"] == 3
     assert manifest["shards"]["s0"]["params"] == {"array_limit": 4096}
 
 

@@ -135,3 +135,75 @@ def test_save_load_adaptive_shard(tmp_path):
     loaded = PostingStore.load(tmp_path / "idx")
     assert loaded.shard("s0").codec.name == "Adaptive"
     assert np.array_equal(loaded.decode_term("s0", "t"), sparse)
+
+
+def _big_store() -> PostingStore:
+    """Several pages per segment, so a torn rewrite cannot hide in page 0."""
+    store = PostingStore()
+    rng = np.random.default_rng(7)
+    for name, codec in (("s0", "Roaring"), ("s1", "SIMDBP128*")):
+        shard = store.create_shard(name, codec=codec, universe=1 << 20)
+        for t in range(12):
+            shard.add(f"t{t:02d}", np.unique(rng.integers(0, 1 << 20, size=4_000)))
+    return store
+
+
+def test_resave_over_the_mapped_directory_is_bit_identical(tmp_path):
+    """load(d).save(d) rewrites the very file the store is mapped from."""
+    built = _big_store()
+    built.save(tmp_path)
+    loaded = PostingStore.load(tmp_path)
+    loaded.save(tmp_path)
+    for reread in (loaded, PostingStore.load(tmp_path)):
+        for name in built.shard_names():
+            for term in built.shard(name).postings:
+                assert np.array_equal(
+                    reread.decode_term(name, term), built.decode_term(name, term)
+                ), (name, term)
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_kill_between_segment_write_and_rename_keeps_old_segment(
+    tmp_path, monkeypatch
+):
+    import os
+
+    from repro.store import WritablePostingStore
+
+    built = _big_store()
+    built.save(tmp_path)
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*.rpro3")}
+
+    def killed(src, dst):
+        raise KeyboardInterrupt("killed before the rename")
+
+    monkeypatch.setattr(os, "replace", killed)
+    with pytest.raises(KeyboardInterrupt):
+        PostingStore.load(tmp_path).save(tmp_path)
+    monkeypatch.undo()
+
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*.rpro3")} == before
+    assert list(tmp_path.rglob("*.rpro3.tmp"))  # the torn write's only trace
+    reread = PostingStore.load(tmp_path)
+    assert np.array_equal(
+        reread.decode_term("s0", "t00"), built.decode_term("s0", "t00")
+    )
+    WritablePostingStore.open(tmp_path).close()  # orphan GC sweeps it
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_save_keeps_only_the_inert_mapped_keyword(tmp_path):
+    store = _store()
+    store.save(tmp_path / "a", mapped=True)  # still parses: the benchmark passes it
+    with pytest.raises(TypeError, match="mapped"):
+        store.save(tmp_path / "b", mapped=False)
+    assert not (tmp_path / "b").exists()
+
+
+def test_loaded_store_is_immutable(tmp_path):
+    from repro.store import MappedSegmentError
+
+    _store().save(tmp_path)
+    loaded = PostingStore.load(tmp_path)
+    with pytest.raises(MappedSegmentError, match="immutable"):
+        loaded.shard("s0").add("c", [1, 2, 3])

@@ -1,8 +1,8 @@
 """The repro.api facade: one import covers the common paths.
 
 ``connect()`` is the serving entrypoint under test here: dispatch to
-local / engine / remote targets, option validation, and the deprecation
-contract of the ``open_store`` / ``StoreClient`` shims.  The three-way
+local / engine / remote targets, option validation, and the absence of
+the removed ``open_store`` / ``mapped=`` surface.  The three-way
 bit-identity check (local store vs single server vs cluster router)
 lives in ``tests/cluster/test_bit_identity.py``.
 """
@@ -120,18 +120,14 @@ def test_connect_writable_with_background_compactor(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Deprecated shims
+# One entrypoint
 # ----------------------------------------------------------------------
-def test_open_store_shim_warns_once_and_still_works(tmp_path):
+def test_open_store_and_mapped_option_are_removed(tmp_path):
+    assert not hasattr(api, "open_store")
+    assert "open_store" not in api.__all__
     _save_demo_store(tmp_path / "index")
-    with pytest.warns(DeprecationWarning, match="repro.api.connect") as rec:
-        engine = api.open_store(str(tmp_path / "index"))
-    assert len(rec) == 1  # exactly one warning per call
-    assert isinstance(engine, api.QueryEngine)
-    result = engine.execute(api.And("news", "sports"))
-    assert result.ok
-    assert np.array_equal(result.values, np.arange(0, 1_000, 6))
-    engine.close()
+    with pytest.raises(TypeError, match="mapped"):
+        api.connect(str(tmp_path / "index"), mapped=True)
 
 
 def test_connect_does_not_warn(tmp_path):

@@ -123,7 +123,7 @@ def test_edge_list_pairs(codec_name, left, right):
 def test_served_engine_matches_reference(codec_name, backing, tmp_path):
     """The full store path — compile, cache, scatter-gather — per codec,
     serving both from the in-heap posting table and, round-tripped
-    through ``save(mapped=True)``, off a memory-mapped v3 segment."""
+    through ``save()``, off a memory-mapped segment."""
     from repro import get_codec
     from repro.store import And, DecodeCache, Or, PostingStore, QueryEngine
 
@@ -138,7 +138,7 @@ def test_served_engine_matches_reference(codec_name, backing, tmp_path):
     for term, values in terms.items():
         shard.add(term, values)
     if backing == "mapped":
-        store.save(tmp_path / "v3", mapped=True)
+        store.save(tmp_path / "v3")
         store = PostingStore.load(tmp_path / "v3")
     engine = QueryEngine(store, cache=DecodeCache(), cache_probes=True)
     cases = {
@@ -179,7 +179,7 @@ def test_compressed_and_decoded_execution_agree(codec_name, backing, tmp_path):
     for term, values in terms.items():
         shard.add(term, values)
     if backing == "mapped":
-        store.save(tmp_path / "v3", mapped=True)
+        store.save(tmp_path / "v3")
         store = PostingStore.load(tmp_path / "v3")
     compressed = QueryEngine(store)  # compressed execution is the default
     baseline = QueryEngine(store, compressed_ops=False, cache_probes=True)

@@ -19,6 +19,7 @@ from repro.core.errors import (
     ReproError,
     UnknownCodecError,
 )
+from tests.conftest import corrupt_term_payload
 
 
 def test_error_hierarchy():
@@ -143,24 +144,24 @@ def _saved_store(tmp_path):
     return directory
 
 
-def _corrupt_term(directory, term: str) -> None:
-    import json
-
-    manifest = json.loads((directory / "manifest.json").read_text())
-    rel = manifest["shards"]["s0"]["terms"][term]
-    path = directory / rel
-    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-
-
 def test_store_load_strict_raises_on_truncated_list(tmp_path):
-    from repro.store import PostingStore, ShardLoadError
+    """A truncated segment fails the strict load; a damaged list inside
+    an intact segment opens (payload checks are lazy) and raises, naming
+    the term, on first touch."""
+    from repro.store import MappedSegmentError, PostingStore
 
     directory = _saved_store(tmp_path)
-    _corrupt_term(directory, "doomed")
-    with pytest.raises(ShardLoadError) as exc_info:
-        PostingStore.load(directory)
+    corrupt_term_payload(directory, "s0", "doomed")
+    store = PostingStore.load(directory)
+    with pytest.raises(MappedSegmentError) as exc_info:
+        store.decode_term("s0", "doomed")
     assert exc_info.value.term == "doomed"
-    assert isinstance(exc_info.value.cause, CorruptPayloadError)
+    assert store.decode_term("s0", "good").size == 1_000
+
+    segment = next((directory / "s0").glob("*.rpro3"))
+    segment.write_bytes(segment.read_bytes()[: segment.stat().st_size // 2])
+    with pytest.raises(MappedSegmentError, match="truncation"):
+        PostingStore.load(directory)
 
 
 def test_store_load_lenient_records_and_serves(tmp_path):
@@ -169,10 +170,8 @@ def test_store_load_lenient_records_and_serves(tmp_path):
     from repro.store import Or, PostingStore, QueryEngine
 
     directory = _saved_store(tmp_path)
-    _corrupt_term(directory, "doomed")
+    corrupt_term_payload(directory, "s0", "doomed")
     store = PostingStore.load(directory, strict=False)
-    assert [e.term for e in store.load_errors] == ["doomed"]
-    assert "doomed" in store.shard("s0").failed_terms
 
     engine = QueryEngine(store)
     healthy = engine.execute("good")
@@ -182,20 +181,20 @@ def test_store_load_lenient_records_and_serves(tmp_path):
     assert hurt.partial and not hurt.ok
     assert hurt.degraded_terms == ("doomed",)
     assert hurt.values.size == 1_000  # the surviving leaf still answers
+    assert "doomed" in store.shard("s0").failed_terms  # recorded at first touch
 
 
 def test_store_load_rejects_bad_manifest_version(tmp_path):
     import json
 
-    from repro.core.errors import ReproError
-    from repro.store import PostingStore
+    from repro.store import PostingStore, StoreError
 
     directory = _saved_store(tmp_path)
     manifest_path = directory / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["version"] = 99
     manifest_path.write_text(json.dumps(manifest))
-    with pytest.raises(ReproError):
+    with pytest.raises(StoreError, match="version 99"):
         PostingStore.load(directory)
 
 
