@@ -1,6 +1,6 @@
 # Development gate for the bitmap-vs-invlist reproduction.
 #
-#   make check   — ruff → mypy → codec + concurrency analyzers → tier-1 tests
+#   make check   — ruff → mypy → contract analyzer → tier-1 tests
 #
 # ruff/mypy are optional locally (install with `pip install -e .[lint]`);
 # when absent those steps are skipped with a notice so the contract
@@ -9,9 +9,9 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint type analyze analyze-concurrency witness test bench
+.PHONY: check lint type analyze witness test bench
 
-check: lint type analyze analyze-concurrency test
+check: lint type analyze test
 	@echo "check: all gates passed"
 
 lint:
@@ -29,9 +29,6 @@ type:
 	fi
 
 analyze:
-	$(PY) -m repro.analysis src/repro
-
-analyze-concurrency:
 	$(PY) -m repro.analysis --strict-noqa src/repro
 
 witness:

@@ -20,15 +20,16 @@ changing only the target string.
 
 from __future__ import annotations
 
-import time
 from typing import Protocol, Sequence, runtime_checkable
 from urllib.parse import urlsplit
 
 from repro.api.errors import QueryRejectedError
 from repro.server.client import StoreClient
 from repro.server.protocol import (
+    IngestRequest,
     IngestResponse,
     QueryResponse,
+    apply_ingest,
     response_from_result,
 )
 from repro.store.cache import DecodeCache
@@ -114,29 +115,7 @@ class LocalTarget:
         store = self.engine.store
         if not isinstance(store, WritablePostingStore):
             raise QueryRejectedError("store is read-only; connect with writable=True")
-        t0 = time.perf_counter()
-        try:
-            acked = store.ingest_batch(
-                [(op, shard, term, [int(v) for v in values])
-                 for op, shard, term, values in ops]
-            )
-        except Exception as exc:  # repro: noqa[REPRO106] -- /ingest parity: failures travel in the response status, as over the wire
-            return IngestResponse(
-                status="failed",
-                acked_ops=0,
-                latency_ms=(time.perf_counter() - t0) * 1000.0,
-                generation=store.generation,
-                error=f"{type(exc).__name__}: {exc}",
-                batch_id=batch_id,
-            )
-        return IngestResponse(
-            status="ok",
-            acked_ops=acked,
-            latency_ms=(time.perf_counter() - t0) * 1000.0,
-            pending_ops=store.pending_ops(),
-            generation=store.generation,
-            batch_id=batch_id,
-        )
+        return apply_ingest(store, IngestRequest.from_ops(ops, batch_id))
 
     def metrics(self) -> dict:
         return self.engine.metrics.snapshot()

@@ -4,12 +4,12 @@ The pieces, bottom-up:
 
 * :mod:`repro.cluster.shardmap` — versioned consistent-hash placement
   of shards over replicated backends;
-* :mod:`repro.cluster.transport` — the asyncio HTTP client the router
-  fans out over (connection-per-request, so hedged losers cancel
-  cleanly);
 * :mod:`repro.cluster.router` — the :class:`ClusterRouter` front-end:
   hedged reads, replica failover, admission-aware routing, follower
-  replication with bounded staleness;
+  replication with bounded staleness.  It is a
+  :class:`repro.server.http.JsonHttpServer` like the server it fronts,
+  and fans out over that module's connection-per-request
+  ``request_json`` (so hedged losers cancel by closing their socket);
 * :mod:`repro.cluster.client` — :class:`RouterClient`, a shard-map-
   pinning client that handles the 410-refetch dance.
 

@@ -21,14 +21,13 @@ chosen address is printed as a JSON line on stdout.
 from __future__ import annotations
 
 import argparse
-import asyncio
-import json
 import sys
 
 from repro.api.errors import ShardMapError
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shardmap import Backend, ShardMap
 from repro.server.client import StoreClient
+from repro.server.http import run_until_interrupted
 
 
 def _parse_backend(text: str) -> tuple[str, int]:
@@ -121,27 +120,16 @@ def main(argv: list[str] | None = None) -> int:
         **extra,
     )
 
-    async def _serve() -> None:
-        await router.start()
-        print(
-            json.dumps(
-                {
-                    "listening": f"http://{router.host}:{router.port}",
-                    "backends": len(backends),
-                    "shards": len(shards),
-                    "replication": args.replication,
-                    "shardmap_version": shardmap.version,
-                    "hedge": not args.no_hedge,
-                }
-            ),
-            flush=True,
-        )
-        await router.serve_forever()
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
+    run_until_interrupted(
+        router,
+        {
+            "backends": len(backends),
+            "shards": len(shards),
+            "replication": args.replication,
+            "shardmap_version": shardmap.version,
+            "hedge": not args.no_hedge,
+        },
+    )
     return 0
 
 

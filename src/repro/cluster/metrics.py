@@ -89,9 +89,12 @@ class RouterMetrics:
             bid: BackendStats(bid) for bid in backend_ids
         }
 
-    def record_query(self, status: str, latency_ms: float) -> None:
+    def record_query(self, status: str, latency_ms: float | None = None) -> None:
+        """Count one request by outcome; ``latency_ms`` is absent for the
+        outcomes that never became a request (broken framing, hang-up)."""
         self.queries[status] = self.queries.get(status, 0) + 1
-        self.query_latency.record(latency_ms)
+        if latency_ms is not None:
+            self.query_latency.record(latency_ms)
 
     def backend(self, backend_id: str) -> BackendStats:
         if backend_id not in self.backends:  # topology change added it

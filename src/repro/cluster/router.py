@@ -40,14 +40,20 @@ Followers therefore serve reads with bounded staleness; the bound
 from __future__ import annotations
 
 import asyncio
-import json
+import random
 from collections import deque
 
 from repro.api.errors import BackendUnavailableError, ProtocolError, ShardMapError
 from repro.cluster.metrics import RouterMetrics
 from repro.cluster.shardmap import ShardMap
-from repro.cluster.transport import backend_request_json
-from repro.server.app import BadHttpRequest, encode_http_response, read_http_request
+from repro.server.client import full_jitter_backoff_s
+from repro.server.http import (
+    HttpExchangeError,
+    JsonHttpServer,
+    Reply,
+    json_body,
+    request_json,
+)
 from repro.server.protocol import (
     DEADLINE_HEADER,
     HTTP_STATUS_FOR,
@@ -106,8 +112,9 @@ def _retrieve_exception(task: "asyncio.Task") -> None:
         task.exception()
 
 
-class ClusterRouter:
-    """The scatter-gather front-end; lifecycle mirrors StoreServer.
+class ClusterRouter(JsonHttpServer):
+    """The scatter-gather front-end: a :class:`JsonHttpServer` whose
+    engine happens to be remote.
 
     Args:
         shardmap: placement + topology (version served at /shardmap).
@@ -116,12 +123,13 @@ class ClusterRouter:
         hedge: enable hedged (speculative) reads.
         hedge_min_ms / hedge_max_ms / hedge_cold_ms: hedge-delay band
             and the cold-start delay used before p95 samples exist.
-        cooldown_s: shed-backend cooldown when no Retry-After arrives.
         ship_retries: follower-ship attempts before dropping a batch.
 
-    Run with :class:`repro.server.app.BackgroundServer` (same
-    ``start``/``stop``/``port`` surface) or ``python -m repro.cluster``.
+    Run with :class:`repro.server.BackgroundServer` or
+    ``python -m repro.cluster``.
     """
+
+    bad_request_errors = (ProtocolError, ShardMapError)
 
     def __init__(
         self,
@@ -134,176 +142,115 @@ class ClusterRouter:
         hedge_min_ms: float = DEFAULT_HEDGE_MIN_MS,
         hedge_max_ms: float = DEFAULT_HEDGE_MAX_MS,
         hedge_cold_ms: float = DEFAULT_HEDGE_COLD_MS,
-        cooldown_s: float = DEFAULT_COOLDOWN_S,
         ship_retries: int = DEFAULT_SHIP_RETRIES,
     ) -> None:
+        super().__init__(
+            host,
+            port,
+            {
+                ("POST", "/query"): self._handle_query,
+                ("POST", "/ingest"): self._handle_ingest,
+                ("GET", "/shardmap"): self._handle_shardmap,
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+            },
+        )
         self.map = shardmap
-        self.host = host
-        self.port = port
         self.timeout_s = timeout_s
         self.hedge = hedge
         self.hedge_min_ms = hedge_min_ms
         self.hedge_max_ms = hedge_max_ms
         self.hedge_cold_ms = hedge_cold_ms
-        self.cooldown_s = cooldown_s
         self.ship_retries = ship_retries
         self.metrics = RouterMetrics(
             tuple(b.backend_id for b in shardmap.backends)
         )
         self.in_flight = 0
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
         # Follower replication: one (FIFO, wake-up event) pair + drain
         # task per backend.  Entries: (enqueue_loop_time,
         # ingest_body_dict); a batch stays at the head until shipped or
         # dropped, so the head's age *is* that follower's staleness.
         self._ship_queues: dict[str, tuple[deque, asyncio.Event]] = {}
         self._ship_tasks: list[asyncio.Task] = []
+        self._ship_rng = random.Random()
 
-    # ------------------------------------------------------------------
-    # Lifecycle (BackgroundServer-compatible)
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def record(self, outcome: str, latency_ms: float | None = None) -> None:
+        self.metrics.record_query(outcome, latency_ms)
+
+    async def _on_start(self) -> None:
         for backend in self.map.backends:
             self._ship_queues[backend.backend_id] = (deque(), asyncio.Event())
             self._ship_tasks.append(
                 asyncio.create_task(self._ship_loop(backend.backend_id))
             )
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def _on_stop(self) -> None:
         for task in self._ship_tasks:
             task.cancel()
-        for task in self._ship_tasks:
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        await asyncio.gather(*self._ship_tasks, return_exceptions=True)
         self._ship_tasks.clear()
-        for writer in list(self._writers):
-            writer.close()
 
-    # ------------------------------------------------------------------
-    # HTTP plumbing (shared with StoreServer)
-    # ------------------------------------------------------------------
-    async def _handle_connection(self, reader, writer) -> None:
-        self._writers.add(writer)
+    async def _backend_json(
+        self,
+        backend_id: str,
+        method: str,
+        path: str,
+        body: dict,
+        headers: tuple[tuple[str, str], ...] = (),
+    ) -> tuple[int, dict[str, str], dict]:
+        """One exchange with a backend: ``(status, headers, json)``.
+
+        Every transport failure — refused connection, reset, timeout,
+        garbled response — surfaces as :class:`BackendUnavailableError`
+        (``retryable=True``), the single signal failover and hedging key
+        off; HTTP error statuses are returned for the caller to read.
+        """
+        backend = self.map.backend(backend_id)
         try:
-            while True:
-                request = await read_http_request(reader)
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            pass
-        except BadHttpRequest as exc:
-            try:
-                writer.write(
-                    encode_http_response(
-                        400, {"error": str(exc)}, keep_alive=False
-                    )
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(self, writer, code, body, *, keep_alive,
-                       extra_headers=()) -> None:
-        writer.write(
-            encode_http_response(
-                code, body, keep_alive=keep_alive, extra_headers=extra_headers
+            return await request_json(
+                backend.host, backend.port, method, path, body,
+                headers=headers, timeout_s=self.timeout_s,
             )
+        except HttpExchangeError as exc:
+            raise BackendUnavailableError(backend_id, str(exc)) from exc
+
+    # ------------------------------------------------------------------
+    # GET endpoints
+    # ------------------------------------------------------------------
+    def _map_version_header(self) -> tuple[tuple[str, str], ...]:
+        return ((SHARDMAP_VERSION_HEADER, str(self.map.version)),)
+
+    async def _handle_shardmap(self, headers, body) -> Reply:
+        return Reply(200, self.map.to_json(), self._map_version_header())
+
+    async def _handle_healthz(self, headers, body) -> Reply:
+        return Reply(
+            200,
+            {
+                "status": "ok",
+                "role": "router",
+                "backends": len(self.map.backends),
+                "shards": len(self.map.shards),
+                "shard_names": sorted(self.map.shards),
+                "replication": self.map.replication,
+                "shardmap_version": self.map.version,
+                "in_flight": self.in_flight,
+            },
         )
-        await writer.drain()
 
-    async def _dispatch(self, request, writer) -> bool:
-        method, target, headers, body = request
-        target = target.split("?", 1)[0]
-        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-        if target == "/query" and method == "POST":
-            await self._handle_query(headers, body, writer, keep_alive)
-            return keep_alive
-        if target == "/ingest" and method == "POST":
-            await self._handle_ingest(headers, body, writer, keep_alive)
-            return keep_alive
-        if target == "/shardmap" and method == "GET":
-            await self._respond(
-                writer,
-                200,
-                self.map.to_json(),
-                keep_alive=keep_alive,
-                extra_headers=(
-                    (SHARDMAP_VERSION_HEADER, str(self.map.version)),
-                ),
-            )
-            return keep_alive
-        if target == "/healthz" and method == "GET":
-            await self._respond(
-                writer,
-                200,
-                {
-                    "status": "ok",
-                    "role": "router",
-                    "backends": len(self.map.backends),
-                    "shards": len(self.map.shards),
-                    "shard_names": sorted(self.map.shards),
-                    "replication": self.map.replication,
-                    "shardmap_version": self.map.version,
-                    "in_flight": self.in_flight,
-                },
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        if target == "/metrics" and method == "GET":
-            loop = asyncio.get_running_loop()
-            await self._respond(
-                writer,
-                200,
-                self.metrics.snapshot(
-                    now=loop.time(),
-                    shardmap_version=self.map.version,
-                    max_staleness_ms=self._max_staleness_ms(loop.time()),
-                ),
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        if target in ("/query", "/ingest"):
-            await self._respond(
-                writer, 405, {"error": f"use POST {target}"},
-                keep_alive=keep_alive,
-            )
-            return keep_alive
-        await self._respond(
-            writer, 404, {"error": f"no such endpoint: {target}"},
-            keep_alive=keep_alive,
+    async def _handle_metrics(self, headers, body) -> Reply:
+        now = asyncio.get_running_loop().time()
+        return Reply(
+            200,
+            self.metrics.snapshot(
+                now=now,
+                shardmap_version=self.map.version,
+                max_staleness_ms=self._max_staleness_ms(now),
+            ),
         )
-        return keep_alive
 
-    def _check_map_version(self, headers: dict[str, str]) -> dict | None:
-        """410 body if the caller pinned a shard-map version we don't serve."""
+    def _stale_pin(self, headers: dict[str, str]) -> Reply | None:
+        """410 reply if the caller pinned a shard-map version we don't serve."""
         raw = headers.get(SHARDMAP_VERSION_HEADER.lower())
         if raw is None:
             return None
@@ -316,44 +263,29 @@ class ClusterRouter:
         if pinned == self.map.version:
             return None
         self.metrics.stale_map_rejects += 1
-        return {
-            "error": (
-                f"shard map v{pinned} is not current; refetch GET /shardmap"
-            ),
-            "current_version": self.map.version,
-        }
+        return Reply(
+            410,
+            {
+                "error": (
+                    f"shard map v{pinned} is not current; refetch GET /shardmap"
+                ),
+                "current_version": self.map.version,
+            },
+            self._map_version_header(),
+        )
 
     # ------------------------------------------------------------------
     # /query: scatter, hedge, gather
     # ------------------------------------------------------------------
-    async def _handle_query(self, headers, body, writer, keep_alive) -> None:
+    async def _handle_query(self, headers: dict[str, str], body: bytes) -> Reply:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
-        try:
-            stale = self._check_map_version(headers)
-            if stale is not None:
-                await self._respond(
-                    writer, 410, stale, keep_alive=keep_alive,
-                    extra_headers=(
-                        (SHARDMAP_VERSION_HEADER, str(self.map.version)),
-                    ),
-                )
-                return
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"request body is not valid JSON: {exc}"
-                ) from exc
-            request = QueryRequest.from_body(parsed)
-            shards = request.shards if request.shards is not None else self.map.shards
-            groups = self.map.groups(shards)
-        except (ProtocolError, ShardMapError) as exc:
-            await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep_alive
-            )
-            self.metrics.record_query("bad_request", (loop.time() - t0) * 1000.0)
-            return
+        stale = self._stale_pin(headers)
+        if stale is not None:
+            return stale
+        request = QueryRequest.from_body(json_body(body))
+        shards = request.shards if request.shards is not None else self.map.shards
+        groups = self.map.groups(shards)
 
         self.in_flight += 1
         try:
@@ -367,13 +299,9 @@ class ClusterRouter:
             response = self._merge(request, answers, (loop.time() - t0) * 1000.0)
         finally:
             self.in_flight -= 1
-        await self._respond(
-            writer,
-            HTTP_STATUS_FOR[response.status],
-            response.to_body(),
-            keep_alive=keep_alive,
+        return Reply(
+            HTTP_STATUS_FOR[response.status], response.to_body(), (), response.status
         )
-        self.metrics.record_query(response.status, (loop.time() - t0) * 1000.0)
 
     def _ranked(self, replicas: tuple[str, ...]) -> list[str]:
         """Replicas by preference: out-of-cooldown first, fastest p95 first."""
@@ -396,7 +324,6 @@ class ClusterRouter:
     ) -> QueryResponse:
         """One backend leg; raises BackendUnavailableError on any non-answer."""
         loop = asyncio.get_running_loop()
-        backend = self.map.backend(backend_id)
         sub = QueryRequest(
             query=request.query,
             shards=tuple(shards),
@@ -408,19 +335,17 @@ class ClusterRouter:
             extra = ((DEADLINE_HEADER, deadline_raw),)
         t0 = loop.time()
         self.metrics.fanout_requests += 1
-        status, resp_headers, parsed = await backend_request_json(
-            backend_id, backend.host, backend.port,
-            "POST", "/query", sub.to_body(),
-            headers=extra, timeout_s=self.timeout_s,
+        status, resp_headers, parsed = await self._backend_json(
+            backend_id, "POST", "/query", sub.to_body(), extra
         )
         latency_ms = (loop.time() - t0) * 1000.0
         stats = self.metrics.backend(backend_id)
         if status == 503:
             retry_after = resp_headers.get("retry-after")
             try:
-                cooldown = float(retry_after) if retry_after else self.cooldown_s
+                cooldown = float(retry_after) if retry_after else DEFAULT_COOLDOWN_S
             except ValueError:
-                cooldown = self.cooldown_s
+                cooldown = DEFAULT_COOLDOWN_S
             stats.record_shed(loop.time() + max(0.0, cooldown))
             raise BackendUnavailableError(backend_id, "shed the request (503)")
         if status not in (200, 500):
@@ -429,8 +354,17 @@ class ClusterRouter:
                 backend_id,
                 f"HTTP {status}: {parsed.get('error', 'unexpected status')}",
             )
+        try:
+            response = QueryResponse.from_body(parsed)
+        except (ValueError, TypeError) as exc:
+            # A 200/500 whose body is not a query response is a non-answer
+            # like any other: fail over, attribute the shards.
+            stats.record_failure()
+            raise BackendUnavailableError(
+                backend_id, f"unusable HTTP {status} body: {exc}"
+            ) from exc
         stats.record_success(latency_ms)
-        return QueryResponse.from_body(parsed)
+        return response
 
     async def _query_group(
         self, replicas, shards, request: QueryRequest, deadline_raw
@@ -596,38 +530,20 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # /ingest: primary-durable writes + follower shipping
     # ------------------------------------------------------------------
-    async def _handle_ingest(self, headers, body, writer, keep_alive) -> None:
+    async def _handle_ingest(self, headers: dict[str, str], body: bytes) -> Reply:
         loop = asyncio.get_running_loop()
         t0 = loop.time()
-        try:
-            stale = self._check_map_version(headers)
-            if stale is not None:
-                await self._respond(
-                    writer, 410, stale, keep_alive=keep_alive,
-                    extra_headers=(
-                        (SHARDMAP_VERSION_HEADER, str(self.map.version)),
-                    ),
-                )
-                return
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(
-                    f"request body is not valid JSON: {exc}"
-                ) from exc
-            request = IngestRequest.from_body(parsed)
-            by_primary: dict[str, list] = {}
-            by_follower: dict[str, list] = {}
-            for op in request.ops:
-                replicas = self.map.replicas(op[1])  # raises on unknown shard
-                by_primary.setdefault(replicas[0], []).append(op)
-                for follower in replicas[1:]:
-                    by_follower.setdefault(follower, []).append(op)
-        except (ProtocolError, ShardMapError) as exc:
-            await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep_alive
-            )
-            return
+        stale = self._stale_pin(headers)
+        if stale is not None:
+            return stale
+        request = IngestRequest.from_body(json_body(body))
+        by_primary: dict[str, list] = {}
+        by_follower: dict[str, list] = {}
+        for op in request.ops:
+            replicas = self.map.replicas(op[1])  # raises on unknown shard
+            by_primary.setdefault(replicas[0], []).append(op)
+            for follower in replicas[1:]:
+                by_follower.setdefault(follower, []).append(op)
 
         self.metrics.ingest_batches += 1
         outcomes = await asyncio.gather(
@@ -661,10 +577,7 @@ class ClusterRouter:
                 error="; ".join(errors),
                 batch_id=request.batch_id,
             )
-            await self._respond(
-                writer, 500, response.to_body(), keep_alive=keep_alive
-            )
-            return
+            return Reply(500, response.to_body())
 
         # Durable on every primary — ack now, ship to followers async.
         now = loop.time()
@@ -681,18 +594,14 @@ class ClusterRouter:
             generation=generation,
             batch_id=request.batch_id,
         )
-        await self._respond(
-            writer, 200, response.to_body(), keep_alive=keep_alive
-        )
+        return Reply(200, response.to_body())
 
     async def _ingest_primary(
         self, backend_id: str, ops, batch_id: str
     ) -> IngestResponse:
-        backend = self.map.backend(backend_id)
         sub = IngestRequest(ops=tuple(ops), batch_id=batch_id)
-        status, _headers, parsed = await backend_request_json(
-            backend_id, backend.host, backend.port,
-            "POST", "/ingest", sub.to_body(), timeout_s=self.timeout_s,
+        status, _headers, parsed = await self._backend_json(
+            backend_id, "POST", "/ingest", sub.to_body()
         )
         if status not in (200, 500):
             raise BackendUnavailableError(
@@ -703,7 +612,6 @@ class ClusterRouter:
 
     async def _ship_loop(self, backend_id: str) -> None:
         """Drain one follower's ship queue; bounded retries per batch."""
-        backend = self.map.backend(backend_id)
         queue, wakeup = self._ship_queues[backend_id]
         while True:
             if not queue:
@@ -714,9 +622,8 @@ class ClusterRouter:
             delivered = False
             for attempt in range(self.ship_retries):
                 try:
-                    status, _h, parsed = await backend_request_json(
-                        backend_id, backend.host, backend.port,
-                        "POST", "/ingest", body, timeout_s=self.timeout_s,
+                    status, _h, parsed = await self._backend_json(
+                        backend_id, "POST", "/ingest", body
                     )
                     if status == 200:
                         delivered = True
@@ -725,7 +632,11 @@ class ClusterRouter:
                         break  # the batch itself is bad; retrying re-fails
                 except BackendUnavailableError:
                     pass
-                await asyncio.sleep(min(1.0, 0.05 * (2 ** attempt)))
+                await asyncio.sleep(
+                    full_jitter_backoff_s(
+                        attempt, base_s=0.05, cap_s=1.0, rng=self._ship_rng
+                    )
+                )
             if delivered:
                 self.metrics.shipped_batches += 1
             else:

@@ -14,6 +14,13 @@ shared service needs and a library call doesn't:
   snapshot extended with server-side counters and request-latency
   histograms (:mod:`repro.server.metrics`).
 
+Underneath sit :mod:`repro.server.protocol` (the JSON bodies),
+:mod:`repro.server.http` (every byte of HTTP/1.1 the repo speaks: the
+connection loop and route table :class:`StoreServer` and the cluster
+router both subclass, and the async exchange the router fans out over)
+and :mod:`repro.server.client` (the blocking keep-alive client with
+retry and the one backoff schedule).
+
 Quickstart (see ``docs/serving.md`` for the wire protocol)::
 
     from repro.api import connect
@@ -33,16 +40,17 @@ Or from a shell::
 
     python -m repro.server --port 8080 &
     curl -s localhost:8080/query -H 'X-Repro-Deadline-Ms: 100' \\
-         -d '{"query": {"op": "term", "name": "t001"}}'
+         -d '{"v": 2, "query": {"op": "term", "name": "t001"}}'
 """
 
 from repro.server.admission import AdmissionController
-from repro.server.app import BackgroundServer, StoreServer
+from repro.server.app import StoreServer
 from repro.server.client import (
     QueryRejectedError,
     ServerUnavailableError,
     StoreClient,
 )
+from repro.server.http import BackgroundServer
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     DEADLINE_HEADER,

@@ -19,11 +19,10 @@ exercised against a live server without a pathological dataset.
 from __future__ import annotations
 
 import argparse
-import asyncio
-import json
 import sys
 
 from repro.server.app import DEFAULT_MAX_PENDING, DEFAULT_WORKERS, StoreServer
+from repro.server.http import run_until_interrupted
 from repro.store.__main__ import build_store
 from repro.store.cache import DecodeCache
 from repro.store.engine import QueryEngine
@@ -159,26 +158,16 @@ def main(argv: list[str] | None = None) -> int:
         max_deadline_ms=args.max_deadline_ms,
     )
 
-    async def _serve() -> None:
-        await server.start()
-        print(
-            json.dumps(
-                {
-                    "listening": f"http://{server.host}:{server.port}",
-                    "shards": len(store),
-                    "workers": args.workers,
-                    "queue_depth": args.queue_depth,
-                    "writable": writable_store is not None,
-                }
-            ),
-            flush=True,
-        )
-        await server.serve_forever()
-
     try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
+        run_until_interrupted(
+            server,
+            {
+                "shards": len(store),
+                "workers": args.workers,
+                "queue_depth": args.queue_depth,
+                "writable": writable_store is not None,
+            },
+        )
     finally:
         if writable_store is not None:
             writable_store.close()

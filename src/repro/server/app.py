@@ -1,11 +1,10 @@
 """Asyncio JSON-over-HTTP server wrapping :class:`repro.store.QueryEngine`.
 
-Stdlib-only: connections are handled with :func:`asyncio.start_server`
-and a minimal HTTP/1.1 reader (request line + headers + Content-Length
-body, keep-alive by default), because the engine underneath is
-CPU-bound numpy work — the event loop only does admission, parsing, and
-response writing, and hands each admitted query to a worker-thread
-pool.
+A :class:`~repro.server.http.JsonHttpServer` (which owns the socket,
+the keep-alive loop, routing and the 400/404/405/500 mapping) whose
+handlers front a worker-thread pool: the engine underneath is CPU-bound
+numpy work, so the event loop only does admission, parsing, and
+response writing, and hands each admitted request to a worker.
 
 Request lifecycle:
 
@@ -38,115 +37,36 @@ snapshot, including write-path counters when the store is writable).
 from __future__ import annotations
 
 import asyncio
-import functools
-import json
-import threading
+import time
 from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Callable, TypeVar
 
 from repro.server.admission import AdmissionController
+from repro.server.http import JsonHttpServer, Reply, json_body
 from repro.server.metrics import ServerMetrics
 from repro.server.protocol import (
     DEADLINE_HEADER,
     HTTP_STATUS_FOR,
-    MAX_BODY_BYTES,
     IngestRequest,
-    IngestResponse,
     ProtocolError,
     QueryRequest,
     QueryResponse,
     abandoned_response,
+    apply_ingest,
     response_from_result,
 )
 from repro.store.engine import QueryEngine
 from repro.store.segments import WritablePostingStore
-
-_REASONS = {
-    200: "OK",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    410: "Gone",
-    413: "Payload Too Large",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
 
 #: Default bounded-queue depth (pending + running requests).
 DEFAULT_MAX_PENDING = 64
 #: Default worker threads executing engine queries.
 DEFAULT_WORKERS = 8
 
-
-class _BadRequest(Exception):
-    """Internal: answer 400 with this message and keep the connection."""
+_R = TypeVar("_R")
 
 
-async def read_http_request(
-    reader: asyncio.StreamReader,
-) -> tuple[str, str, dict[str, str], bytes] | None:
-    """Read one HTTP/1.1 request: ``(method, target, headers, body)``.
-
-    Returns ``None`` on clean EOF between requests; raises
-    :class:`_BadRequest` on malformed input.  Module-level because the
-    cluster router (:mod:`repro.cluster.router`) serves the same wire
-    protocol and reuses this reader and :func:`_encode_response` rather
-    than growing a second HTTP implementation.
-    """
-    line = await reader.readline()
-    if not line:
-        return None  # clean EOF between requests
-    try:
-        method, target, _version = line.decode("latin-1").split()
-    except ValueError:
-        raise _BadRequest(f"malformed request line: {line[:80]!r}") from None
-    headers: dict[str, str] = {}
-    while True:
-        raw = await reader.readline()
-        if raw in (b"\r\n", b"\n"):
-            break
-        if not raw:
-            raise asyncio.IncompleteReadError(partial=raw, expected=2)
-        if len(headers) > 100:
-            raise _BadRequest("too many headers")
-        name, sep, value = raw.decode("latin-1").partition(":")
-        if not sep:
-            raise _BadRequest(f"malformed header: {raw[:80]!r}")
-        headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise _BadRequest(f"bad Content-Length: {length_text!r}") from None
-    if length < 0 or length > MAX_BODY_BYTES:
-        raise _BadRequest(f"request body too large ({length} bytes)")
-    body = await reader.readexactly(length) if length else b""
-    return method.upper(), target, headers, body
-
-
-def _encode_response(
-    code: int,
-    body: dict,
-    *,
-    keep_alive: bool = True,
-    extra_headers: tuple[tuple[str, str], ...] = (),
-) -> bytes:
-    payload = json.dumps(body).encode("utf-8")
-    lines = [
-        f"HTTP/1.1 {code} {_REASONS[code]}",
-        "Content-Type: application/json",
-        f"Content-Length: {len(payload)}",
-        f"Connection: {'keep-alive' if keep_alive else 'close'}",
-    ]
-    lines += [f"{name}: {value}" for name, value in extra_headers]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
-
-
-#: Public names for the HTTP plumbing the cluster router shares.
-encode_http_response = _encode_response
-BadHttpRequest = _BadRequest
-
-
-class StoreServer:
+class StoreServer(JsonHttpServer):
     """The network face of a :class:`~repro.store.engine.QueryEngine`.
 
     Args:
@@ -182,9 +102,17 @@ class StoreServer:
     ) -> None:
         if grace_factor < 1.0:
             raise ValueError(f"grace_factor must be >= 1, got {grace_factor}")
+        super().__init__(
+            host,
+            port,
+            {
+                ("POST", "/query"): self._handle_query,
+                ("POST", "/ingest"): self._handle_ingest,
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/metrics"): self._handle_metrics,
+            },
+        )
         self.engine = engine
-        self.host = host
-        self.port = port
         self.default_deadline_ms = default_deadline_ms
         self.max_deadline_ms = max_deadline_ms
         self.grace_factor = grace_factor
@@ -197,152 +125,78 @@ class StoreServer:
         self._executor = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-serve"
         )
-        self._server: asyncio.AbstractServer | None = None
-        self._writers: set[asyncio.StreamWriter] = set()
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def record(self, outcome: str, latency_ms: float | None = None) -> None:
+        self.metrics.record_response(outcome, latency_ms)
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
-
-    async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        for writer in list(self._writers):
-            writer.close()
+    async def _on_stop(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
         self.engine.close()
 
     # ------------------------------------------------------------------
-    # HTTP plumbing
+    # Admission gate (shared by /query and /ingest)
     # ------------------------------------------------------------------
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._writers.add(writer)
+    def _submit(
+        self, parse: Callable[[], _R], work: Callable[[_R], object]
+    ) -> "tuple[_R, asyncio.Future] | None":
+        """admit → parse → ``work(parsed)`` on a worker; one ``release()``
+        per admission.
+
+        Returns ``None`` when the gate is full — *before* the body is
+        parsed, so shedding stays cheap under any load — else
+        ``(parsed, future)``.  Once the job is submitted, the future's
+        done-callback owns the release (an abandoned worker keeps its
+        slot until it actually finishes); a failure before that — a
+        :class:`ProtocolError` from ``parse``, a ``RuntimeError`` from an
+        executor shut down mid-stop — releases here and propagates to the
+        HTTP layer's 400 / 500.
+        """
+        if not self.admission.try_acquire():
+            return None
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                keep_alive = await self._dispatch(request, writer)
-                if not keep_alive:
-                    break
-        except (ConnectionError, asyncio.IncompleteReadError):
-            # Client hung up mid-request or mid-response; nothing to do —
-            # its worker (if any) finishes and releases admission itself.
-            self.metrics.record_response("disconnected")
-        except _BadRequest as exc:
-            try:
-                writer.write(
-                    _encode_response(400, {"error": str(exc)}, keep_alive=False)
-                )
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
-            self.metrics.record_response("bad_request")
-        finally:
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _read_request(
-        self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str], bytes] | None:
-        return await read_http_request(reader)
-
-    async def _respond(
-        self,
-        writer: asyncio.StreamWriter,
-        code: int,
-        body: dict,
-        *,
-        keep_alive: bool,
-        extra_headers: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        writer.write(
-            _encode_response(
-                code, body, keep_alive=keep_alive, extra_headers=extra_headers
+            parsed = parse()
+            fut = asyncio.get_running_loop().run_in_executor(
+                self._executor, work, parsed
             )
+        except BaseException:
+            self.admission.release()
+            raise
+        fut.add_done_callback(self._release_when_done)
+        return parsed, fut
+
+    def _release_when_done(self, fut: "asyncio.Future | Future") -> None:
+        self.admission.release()
+        if not fut.cancelled():
+            fut.exception()  # retrieve, so abandoned failures don't warn
+
+    def _shed(self) -> Reply:
+        return Reply(
+            503,
+            {
+                "error": "server at capacity, retry later",
+                "in_flight": self.admission.pending,
+            },
+            (("Retry-After", f"{self.admission.retry_after_s:g}"),),
+            "shed",
         )
-        await writer.drain()
 
     # ------------------------------------------------------------------
-    # Routing
+    # GET endpoints
     # ------------------------------------------------------------------
-    async def _dispatch(
-        self,
-        request: tuple[str, str, dict[str, str], bytes],
-        writer: asyncio.StreamWriter,
-    ) -> bool:
-        method, target, headers, body = request
-        target = target.split("?", 1)[0]
-        keep_alive = headers.get("connection", "keep-alive").lower() != "close"
-
-        if target == "/query":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "use POST /query"},
-                    keep_alive=keep_alive,
-                )
-                self.metrics.record_response("bad_request")
-                return keep_alive
-            await self._handle_query(headers, body, writer, keep_alive)
-            return keep_alive
-        if target == "/ingest":
-            if method != "POST":
-                await self._respond(
-                    writer,
-                    405,
-                    {"error": "use POST /ingest"},
-                    keep_alive=keep_alive,
-                )
-                self.metrics.record_response("bad_request")
-                return keep_alive
-            await self._handle_ingest(body, writer, keep_alive)
-            return keep_alive
-        if target == "/healthz" and method == "GET":
-            await self._respond(
-                writer, 200, self._health_body(), keep_alive=keep_alive
-            )
-            return keep_alive
-        if target == "/metrics" and method == "GET":
-            await self._respond(
-                writer, 200, self.metrics.snapshot(), keep_alive=keep_alive
-            )
-            return keep_alive
-        await self._respond(
-            writer, 404, {"error": f"no such endpoint: {target}"}, keep_alive=keep_alive
+    async def _handle_healthz(self, headers: dict[str, str], body: bytes) -> Reply:
+        return Reply(
+            200,
+            {
+                "status": "ok",
+                "shards": len(self.engine.store),
+                # Names too: the cluster CLI discovers placement from these.
+                "shard_names": sorted(self.engine.store.shard_names()),
+                "in_flight": self.admission.pending,
+            },
         )
-        self.metrics.record_response("not_found")
-        return keep_alive
 
-    def _health_body(self) -> dict:
-        return {
-            "status": "ok",
-            "shards": len(self.engine.store),
-            # Names too: the cluster CLI discovers placement from these.
-            "shard_names": sorted(self.engine.store.shard_names()),
-            "in_flight": self.admission.pending,
-        }
+    async def _handle_metrics(self, headers: dict[str, str], body: bytes) -> Reply:
+        return Reply(200, self.metrics.snapshot())
 
     # ------------------------------------------------------------------
     # /query
@@ -368,65 +222,17 @@ class StoreServer:
             ms = min(ms, self.max_deadline_ms)
         return ms / 1000.0
 
-    async def _handle_query(
-        self,
-        headers: dict[str, str],
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-    ) -> None:
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-
-        if not self.admission.try_acquire():
-            await self._respond(
-                writer,
-                503,
-                {
-                    "error": "server at capacity, retry later",
-                    "in_flight": self.admission.pending,
-                },
-                keep_alive=keep_alive,
-                extra_headers=(
-                    ("Retry-After", f"{self.admission.retry_after_s:g}"),
-                ),
-            )
-            self.metrics.record_response("shed", (loop.time() - t0) * 1000.0)
-            return
-
-        # Admitted.  From here on, exactly one release() must happen: via
-        # the worker-future callback once submitted, or directly on any
-        # pre-submission error.
-        try:
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-            request = QueryRequest.from_body(parsed)
-            timeout_s = self._deadline_s(headers)
-        except ProtocolError as exc:
-            self.admission.release()
-            await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep_alive
-            )
-            self.metrics.record_response("bad_request", (loop.time() - t0) * 1000.0)
-            return
-
-        try:
-            fut = loop.run_in_executor(
-                self._executor,
-                functools.partial(
-                    self.engine.execute, request.to_query(), timeout_s=timeout_s
-                ),
-            )
-        except RuntimeError as exc:  # executor shut down mid-stop
-            self.admission.release()
-            await self._respond(
-                writer, 500, {"error": str(exc)}, keep_alive=False
-            )
-            self.metrics.record_response("error")
-            return
-        fut.add_done_callback(self._release_when_done)
+    async def _handle_query(self, headers: dict[str, str], body: bytes) -> Reply:
+        t0 = time.monotonic()
+        admitted = self._submit(
+            lambda: (QueryRequest.from_body(json_body(body)), self._deadline_s(headers)),
+            lambda parsed: self.engine.execute(
+                parsed[0].to_query(), timeout_s=parsed[1]
+            ),
+        )
+        if admitted is None:
+            return self._shed()
+        (request, timeout_s), fut = admitted
 
         grace = (
             None if timeout_s is None else max(0.1, timeout_s * self.grace_factor)
@@ -436,7 +242,7 @@ class StoreServer:
             response = response_from_result(result, strict=request.strict)
         except asyncio.TimeoutError:
             response = abandoned_response(
-                request.query_id, (loop.time() - t0) * 1000.0
+                request.query_id, (time.monotonic() - t0) * 1000.0
             )
             if request.strict:
                 response = QueryResponse(
@@ -448,174 +254,46 @@ class StoreServer:
                 status="failed",
                 values=None,
                 n_results=None,
-                latency_ms=(loop.time() - t0) * 1000.0,
+                latency_ms=(time.monotonic() - t0) * 1000.0,
                 error=f"{type(exc).__name__}: {exc}",
                 query_id=request.query_id,
             )
-        code = HTTP_STATUS_FOR[response.status]
-        await self._respond(
-            writer, code, response.to_body(), keep_alive=keep_alive
+        return Reply(
+            HTTP_STATUS_FOR[response.status], response.to_body(), (), response.status
         )
-        self.metrics.record_response(response.status, (loop.time() - t0) * 1000.0)
-
-    def _release_when_done(self, fut: "asyncio.Future | Future") -> None:
-        self.admission.release()
-        if not fut.cancelled():
-            fut.exception()  # retrieve, so abandoned failures don't warn
 
     # ------------------------------------------------------------------
     # /ingest
     # ------------------------------------------------------------------
-    @property
-    def writable_store(self) -> WritablePostingStore | None:
-        store = self.engine.store
-        return store if isinstance(store, WritablePostingStore) else None
-
-    async def _handle_ingest(
-        self,
-        body: bytes,
-        writer: asyncio.StreamWriter,
-        keep_alive: bool,
-    ) -> None:
+    async def _handle_ingest(self, headers: dict[str, str], body: bytes) -> Reply:
         """Apply one durable write batch through the admission gate.
 
         Same accounting contract as ``/query``: a batch occupies one
         admission slot from acceptance until its WAL fsync returns, so
         write load and read load shed each other under pressure.  The
-        200 response is only written after the fsync — an acked batch
-        survives ``kill -9``.
+        reply is only built after the fsync — an acked batch survives
+        ``kill -9``.
         """
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
-        store = self.writable_store
-        if store is None:
-            await self._respond(
-                writer,
-                400,
-                {"error": "store is read-only; start the server with --writable"},
-                keep_alive=keep_alive,
+        t0 = time.monotonic()
+        store = self.engine.store
+        if not isinstance(store, WritablePostingStore):
+            raise ProtocolError(
+                "store is read-only; start the server with --writable"
             )
-            self.metrics.record_response("bad_request", (loop.time() - t0) * 1000.0)
-            return
-
-        if not self.admission.try_acquire():
-            await self._respond(
-                writer,
-                503,
-                {
-                    "error": "server at capacity, retry later",
-                    "in_flight": self.admission.pending,
-                },
-                keep_alive=keep_alive,
-                extra_headers=(
-                    ("Retry-After", f"{self.admission.retry_after_s:g}"),
-                ),
-            )
-            self.metrics.record_response("shed", (loop.time() - t0) * 1000.0)
-            return
-
-        try:
-            try:
-                parsed = json.loads(body.decode("utf-8")) if body else None
-            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                raise ProtocolError(f"request body is not valid JSON: {exc}") from exc
-            request = IngestRequest.from_body(parsed)
-        except ProtocolError as exc:
-            self.admission.release()
-            await self._respond(
-                writer, 400, {"error": str(exc)}, keep_alive=keep_alive
-            )
-            self.metrics.record_response("bad_request", (loop.time() - t0) * 1000.0)
-            return
-
-        try:
-            fut = loop.run_in_executor(
-                self._executor,
-                functools.partial(store.ingest_batch, request.ops),
-            )
-        except RuntimeError as exc:  # executor shut down mid-stop
-            self.admission.release()
-            await self._respond(writer, 500, {"error": str(exc)}, keep_alive=False)
-            self.metrics.record_response("error")
-            return
-        fut.add_done_callback(self._release_when_done)
-
-        try:
-            acked = await asyncio.shield(fut)
-            latency_ms = (loop.time() - t0) * 1000.0
-            response = IngestResponse(
-                status="ok",
-                acked_ops=acked,
-                latency_ms=latency_ms,
-                pending_ops=store.pending_ops(),
-                generation=store.generation,
-                batch_id=request.batch_id,
-            )
-            self.metrics.record_ingest(acked, latency_ms)
-        except Exception as exc:  # repro: noqa[REPRO106] -- bad shard, closed store, WAL error: answer failed, keep serving other writers
-            latency_ms = (loop.time() - t0) * 1000.0
-            response = IngestResponse(
-                status="failed",
-                acked_ops=0,
-                latency_ms=latency_ms,
-                pending_ops=0,
-                generation=store.generation,
-                error=f"{type(exc).__name__}: {exc}",
-                batch_id=request.batch_id,
-            )
-            self.metrics.record_ingest(0, latency_ms, failed=True)
-        code = 200 if response.status == "ok" else 500
-        await self._respond(
-            writer, code, response.to_body(), keep_alive=keep_alive
+        admitted = self._submit(
+            lambda: IngestRequest.from_body(json_body(body)),
+            lambda request: apply_ingest(store, request, t0),
         )
-        self.metrics.record_response(
-            f"ingest_{response.status}", (loop.time() - t0) * 1000.0
+        if admitted is None:
+            return self._shed()
+        _request, fut = admitted
+        response = await asyncio.shield(fut)
+        self.metrics.record_ingest(
+            response.acked_ops, response.latency_ms, failed=not response.ok
         )
-
-
-# ----------------------------------------------------------------------
-# Thread-hosted runner (tests, benchmarks, and the closed-loop experiment)
-# ----------------------------------------------------------------------
-class BackgroundServer:
-    """Run a :class:`StoreServer` on a dedicated event-loop thread.
-
-    Usage::
-
-        with BackgroundServer(StoreServer(engine)) as server:
-            client = connect(f"http://127.0.0.1:{server.port}")
-            ...
-    """
-
-    def __init__(self, server: StoreServer) -> None:
-        self.server = server
-        self._loop = asyncio.new_event_loop()
-        self._thread = threading.Thread(
-            target=self._loop.run_forever, name="repro-server", daemon=True
+        return Reply(
+            200 if response.ok else 500,
+            response.to_body(),
+            (),
+            f"ingest_{response.status}",
         )
-
-    @property
-    def port(self) -> int:
-        return self.server.port
-
-    def start(self) -> "BackgroundServer":
-        self._thread.start()
-        asyncio.run_coroutine_threadsafe(
-            self.server.start(), self._loop
-        ).result(timeout=10)
-        return self
-
-    def stop(self) -> None:
-        if not self._thread.is_alive():
-            return
-        asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        ).result(timeout=10)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=10)
-        self._loop.close()
-
-    def __enter__(self) -> "BackgroundServer":
-        return self.start()
-
-    def __exit__(self, *exc: object) -> None:
-        self.stop()

@@ -80,6 +80,26 @@ class QueryRejectedError(ReproError, ValueError):
     """The server answered 400: the request is malformed, don't retry."""
 
 
+def full_jitter_backoff_s(
+    attempt: int,
+    *,
+    base_s: float,
+    cap_s: float,
+    rng: random.Random,
+    retry_after_s: float | None = None,
+) -> float:
+    """Full-jitter backoff before retry ``attempt`` (0-based): uniform
+    over ``[0, min(cap, base * 2**attempt)]``, floored at the (capped)
+    ``Retry-After`` hint.  The one retry schedule in the repo — this
+    client's and the cluster router's follower shipping; the module
+    docstring argues why it is jittered.
+    """
+    delay = rng.uniform(0.0, min(cap_s, base_s * (2**attempt)))
+    if retry_after_s is not None:
+        delay = max(delay, min(cap_s, retry_after_s))
+    return delay
+
+
 class StoreClient:
     """A connection-reusing client for one server endpoint.
 
@@ -155,19 +175,14 @@ class StoreClient:
     # Transport with retry
     # ------------------------------------------------------------------
     def backoff_s(self, attempt: int, retry_after_s: float | None = None) -> float:
-        """Full-jitter backoff before retry ``attempt`` (0-based).
-
-        Draws uniformly from ``[0, min(cap, base * 2**attempt)]`` so a
-        fleet of clients shed by the same server decorrelates instead of
-        re-arriving in lockstep waves.  A server ``Retry-After`` hint is
-        a *floor* (capped at ``backoff_cap_s``): the jitter may wait
-        longer than the hint but never undercuts it.
-        """
-        ceiling = min(self.backoff_cap_s, self.backoff_base_s * (2**attempt))
-        delay = self._rng.uniform(0.0, ceiling)
-        if retry_after_s is not None:
-            delay = max(delay, min(self.backoff_cap_s, retry_after_s))
-        return delay
+        """:func:`full_jitter_backoff_s` under this client's base / cap / rng."""
+        return full_jitter_backoff_s(
+            attempt,
+            base_s=self.backoff_base_s,
+            cap_s=self.backoff_cap_s,
+            rng=self._rng,
+            retry_after_s=retry_after_s,
+        )
 
     @staticmethod
     def _parse_retry_after(resp_headers: dict[str, str]) -> float | None:
@@ -244,21 +259,42 @@ class StoreClient:
             attempts=made,
         )
 
-    def _request_json(
+    def _call(
         self,
         method: str,
         path: str,
-        body: bytes | None = None,
+        body: dict | None = None,
         headers: dict[str, str] | None = None,
-    ) -> tuple[int, dict[str, str], dict]:
-        status, resp_headers, payload = self._request(method, path, body, headers)
+        *,
+        answers: tuple[int, ...] = (200,),
+    ) -> tuple[int, dict]:
+        """One JSON round trip: ``(status, parsed_body)``.
+
+        The single place HTTP statuses become the
+        :mod:`repro.api.errors` tree: 400 raises
+        :class:`QueryRejectedError`, anything not in ``answers`` (and a
+        non-JSON body) raises :class:`ProtocolError`; 503 never gets
+        here — :meth:`_request` retries it into
+        :class:`ServerUnavailableError`.
+        """
+        raw = None
+        if body is not None:
+            raw = json.dumps(body).encode("utf-8")
+            headers = {"Content-Type": "application/json", **(headers or {})}
+        status, _resp_headers, payload = self._request(method, path, raw, headers)
         try:
             parsed = json.loads(payload.decode("utf-8")) if payload else {}
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ProtocolError(
                 f"server sent a non-JSON body for {method} {path}: {exc}"
             ) from exc
-        return status, resp_headers, parsed
+        if status == 400:
+            raise QueryRejectedError(
+                str(parsed.get("error", f"server rejected {method} {path}"))
+            )
+        if status not in answers:
+            raise ProtocolError(f"unexpected HTTP {status} from {path}: {parsed!r}")
+        return status, parsed
 
     # ------------------------------------------------------------------
     # Endpoints
@@ -283,22 +319,14 @@ class StoreClient:
             query_id=query_id,
             strict=strict,
         )
-        headers = {"Content-Type": "application/json"}
+        headers = {}
         if deadline_ms is not None:
             headers[DEADLINE_HEADER] = f"{deadline_ms:g}"
-        body = json.dumps(request.to_body()).encode("utf-8")
-        status, _resp_headers, parsed = self._request_json(
-            "POST", "/query", body, headers
-        )
-        if status == 400:
-            raise QueryRejectedError(
-                str(parsed.get("error", "server rejected the request"))
-            )
-        if status not in (200, 500):
-            raise ProtocolError(
-                f"unexpected HTTP {status} from /query: {parsed!r}"
-            )
-        return QueryResponse.from_body(parsed)
+        return QueryResponse.from_body(self._post_query(request.to_body(), headers))
+
+    def _post_query(self, body: dict, headers: dict[str, str]) -> dict:
+        """``POST /query``; a 500 carries a failed response and is an answer."""
+        return self._call("POST", "/query", body, headers, answers=(200, 500))[1]
 
     def ingest(
         self,
@@ -317,35 +345,13 @@ class StoreClient:
         but callers tracking exact op counts should use ``batch_id`` to
         correlate.
         """
-        request = IngestRequest(
-            ops=tuple(
-                (kind, shard, term, [int(v) for v in values])
-                for kind, shard, term, values in ops
-            ),
-            batch_id=batch_id,
+        request = IngestRequest.from_ops(ops, batch_id)
+        return IngestResponse.from_body(
+            self._call("POST", "/ingest", request.to_body(), answers=(200, 500))[1]
         )
-        body = json.dumps(request.to_body()).encode("utf-8")
-        status, _resp_headers, parsed = self._request_json(
-            "POST", "/ingest", body, {"Content-Type": "application/json"}
-        )
-        if status == 400:
-            raise QueryRejectedError(
-                str(parsed.get("error", "server rejected the ingest batch"))
-            )
-        if status not in (200, 500):
-            raise ProtocolError(
-                f"unexpected HTTP {status} from /ingest: {parsed!r}"
-            )
-        return IngestResponse.from_body(parsed)
 
     def healthz(self) -> dict:
-        status, _headers, parsed = self._request_json("GET", "/healthz")
-        if status != 200:
-            raise ProtocolError(f"unexpected HTTP {status} from /healthz")
-        return parsed
+        return self._call("GET", "/healthz")[1]
 
     def metrics(self) -> dict:
-        status, _headers, parsed = self._request_json("GET", "/metrics")
-        if status != 200:
-            raise ProtocolError(f"unexpected HTTP {status} from /metrics")
-        return parsed
+        return self._call("GET", "/metrics")[1]

@@ -1,7 +1,8 @@
 """Wire protocol for the HTTP serving layer.
 
 One JSON request/response pair, spoken by :mod:`repro.server.app` and
-:mod:`repro.server.client` and documented in ``docs/serving.md``.  The
+:mod:`repro.server.client` (framed by :mod:`repro.server.http`) and
+documented in ``docs/serving.md``.  The
 query itself travels as the typed AST's JSON form
 (:meth:`repro.store.plan.Term.to_json` et al.); a bare string is
 accepted as single-term shorthand.
@@ -9,6 +10,7 @@ accepted as single-term shorthand.
 Request body (``POST /query``)::
 
     {
+      "v": 2,
       "query": {"op": "and", "children": [{"op": "term", "name": "news"},
                                           {"op": "term", "name": "2024"}]},
       "shards": ["s0", "s1"],        # optional, default: every shard
@@ -49,11 +51,13 @@ header (seconds).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 from repro.core.errors import ReproError
 from repro.store.engine import QueryResult
 from repro.store.plan import Query, QueryNode, query_from_json
+from repro.store.segments import WritablePostingStore
 from repro.store.wal import OP_ADD, OP_DELETE
 
 #: Client-requested deadline for one query, in milliseconds.
@@ -239,6 +243,18 @@ class IngestRequest:
     batch_id: str = ""
 
     @classmethod
+    def from_ops(cls, ops, batch_id: str = "") -> "IngestRequest":
+        """From caller-side ``(op, shard, term, values)`` rows; values may
+        be any int sequence (numpy arrays, ranges)."""
+        return cls(
+            ops=tuple(
+                (kind, shard, term, [int(v) for v in values])
+                for kind, shard, term, values in ops
+            ),
+            batch_id=batch_id,
+        )
+
+    @classmethod
     def from_body(cls, body: object) -> "IngestRequest":
         if not isinstance(body, dict):
             raise ProtocolError(f"request body must be a JSON object, got {type(body).__name__}")
@@ -369,6 +385,41 @@ def response_from_result(
         degraded_terms=result.degraded_terms,
         query_id=result.query_id,
         detail=detail,
+    )
+
+
+def apply_ingest(
+    store: WritablePostingStore, request: IngestRequest, t0: float | None = None
+) -> IngestResponse:
+    """Apply one batch durably and describe the outcome — the ``/ingest``
+    contract, shared by the server's worker job and ``LocalTarget``.
+
+    Blocks until the WAL fsync, so an ``ok`` response is a durability
+    claim.  Execution failures (unknown shard, closed store, WAL error)
+    travel in the response status, never as an exception.  ``t0`` is the
+    ``time.monotonic()`` arrival instant ``latency_ms`` counts from
+    (default: now).
+    """
+    if t0 is None:
+        t0 = time.monotonic()
+    try:
+        acked = store.ingest_batch(request.ops)
+    except Exception as exc:  # repro: noqa[REPRO106] -- bad shard, closed store, WAL error: answer failed, keep serving other writers
+        return IngestResponse(
+            status="failed",
+            acked_ops=0,
+            latency_ms=(time.monotonic() - t0) * 1000.0,
+            generation=store.generation,
+            error=f"{type(exc).__name__}: {exc}",
+            batch_id=request.batch_id,
+        )
+    return IngestResponse(
+        status="ok",
+        acked_ops=acked,
+        latency_ms=(time.monotonic() - t0) * 1000.0,
+        pending_ops=store.pending_ops(),
+        generation=store.generation,
+        batch_id=request.batch_id,
     )
 
 

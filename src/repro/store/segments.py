@@ -740,14 +740,22 @@ class WritablePostingStore(PostingStore):
     # Introspection
     # ------------------------------------------------------------------
     def write_stats(self) -> dict:
-        """JSON-able write-path counters (merged into ``/metrics``)."""
+        """JSON-able write-path counters (merged into ``/metrics``).
+
+        Lock-free on purpose (the event loop calls this; it must not
+        park behind a WAL fsync): ``self._wal`` is read once, so the
+        three WAL figures describe one file even while compaction
+        rotates it, and they are plain counters that stay readable
+        after that file is closed.
+        """
+        wal = self._wal
         return {
             "generation": self.generation,
             "compactions": self.compactions,
             "pending_ops": self.pending_ops(),
             "recovered_ops": self.recovered_ops,
             "recovered_tail_bytes": self.recovered_tail_bytes,
-            "wal_records": self._wal.records_written if self._wal else 0,
-            "wal_syncs": self._wal.syncs if self._wal else 0,
-            "wal_bytes": self._wal.size_bytes() if self._wal else 0,
+            "wal_records": wal.records_written if wal else 0,
+            "wal_syncs": wal.syncs if wal else 0,
+            "wal_bytes": wal.size_bytes() if wal else 0,
         }

@@ -96,7 +96,8 @@ class WriteAheadLog:
         self.path = os.fspath(path)
         self._fsync = fsync
         self._fh = open(self.path, "xb")
-        self._fh.write(_MAGIC + bytes([_WAL_VERSION]))
+        #: Bytes handed to the file so far (header + every record).
+        self._bytes = self._fh.write(_MAGIC + bytes([_WAL_VERSION]))
         self._pending = 0
         self.records_written = 0
         self.syncs = 0
@@ -108,7 +109,7 @@ class WriteAheadLog:
         """Buffer one operation record (durable only after :meth:`sync`)."""
         if self._closed:
             raise StoreError(f"WAL {self.path} is closed")
-        self._fh.write(encode_record(op))
+        self._bytes += self._fh.write(encode_record(op))
         self._pending += 1
         self.records_written += 1
 
@@ -128,8 +129,13 @@ class WriteAheadLog:
         return self._pending
 
     def size_bytes(self) -> int:
-        self._fh.flush()
-        return os.path.getsize(self.path)
+        """File size once everything appended is flushed.
+
+        Counted, not ``flush`` + ``stat``: readers (``write_stats``
+        behind ``GET /metrics``) call this from other threads while the
+        owner appends, syncs, or — during compaction — closes the file.
+        """
+        return self._bytes
 
     def close(self) -> None:
         if not self._closed:

@@ -106,7 +106,6 @@ def test_staleness_is_the_next_batch_age_after_the_head_is_dropped(
     """Two batches queued to a dead follower; once the first is dropped
     the bound is the second batch's age — never 0, never the first's."""
     from repro.api.errors import BackendUnavailableError
-    from repro.cluster import router as router_module
 
     cluster = cluster_factory(
         n_backends=2, replication=2, engines=writable_engines,
@@ -115,7 +114,7 @@ def test_staleness_is_the_next_batch_age_after_the_head_is_dropped(
     follower_id = cluster.shardmap.followers("s0")[0]
     cluster.backend_bgs[int(follower_id[1:])].stop()
 
-    real_request = router_module.backend_request_json
+    real_request = cluster.router._backend_json
     ship_attempts = []
 
     async def dead_follower(backend_id, *args, **kwargs):
@@ -127,7 +126,7 @@ def test_staleness_is_the_next_batch_age_after_the_head_is_dropped(
         await asyncio.sleep(0.4 if len(ship_attempts) == 1 else 60.0)
         raise BackendUnavailableError(backend_id, "connection refused")
 
-    monkeypatch.setattr(router_module, "backend_request_json", dead_follower)
+    monkeypatch.setattr(cluster.router, "_backend_json", dead_follower)
     with connect(f"http://127.0.0.1:{cluster.port}") as target:
         assert target.ingest([("add", "s0", "c", [1])], batch_id="first").ok
         time.sleep(0.15)

@@ -1,6 +1,11 @@
 """ClusterRouter integration: scatter-gather, failover, hedging, merge."""
 
 import asyncio
+import http.client
+import http.server
+import json
+import socket
+import threading
 
 import pytest
 
@@ -8,6 +13,7 @@ from repro.api import connect
 from repro.api.errors import QueryRejectedError
 from repro.cluster import Backend, ClusterRouter, ShardMap
 from repro.cluster.router import _GroupAnswer
+from repro.server import BackgroundServer
 from repro.server.protocol import QueryResponse
 from repro.store import QueryEngine
 from repro.store.plan import Query, Term
@@ -121,6 +127,77 @@ def test_strict_escalates_degradation_to_failed(cluster_factory):
     response = _query(cluster.port, strict=True)
     assert response.status == "failed"
     assert response.detail["strict_violation"] == "partial"
+
+
+@pytest.fixture
+def hostile_peer():
+    """A live HTTP peer answering every POST with 200 + JSON that is not
+    a query response (no ``status`` key)."""
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            self.rfile.read(int(self.headers.get("Content-Length", 0)))
+            payload = json.dumps({"hello": "world"}).encode()
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+
+        def log_message(self, *args):
+            pass
+
+    peer = http.server.ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=peer.serve_forever, daemon=True)
+    thread.start()
+    yield peer.server_address[1]
+    peer.shutdown()
+    peer.server_close()
+    thread.join(timeout=5)
+
+
+def _refused_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]  # closed again: connections are refused
+
+
+@pytest.mark.parametrize("hedge", [True, False], ids=["hedge", "no-hedge"])
+def test_unparseable_backend_body_fails_over_like_a_dead_backend(
+    hostile_peer, hedge
+):
+    """First replica refuses, the failover replica answers 200 with a
+    body that is not a query response: both are non-answers, the client
+    gets a ``failed`` response attributing both — not a dropped socket."""
+    placement = ShardMap(
+        (Backend("b0", "127.0.0.1", 1), Backend("b1", "127.0.0.1", 2)),
+        ("s0",), replication=2,
+    )
+    first, second = placement.replicas("s0")
+    ports = {first: _refused_port(), second: hostile_peer}
+    shardmap = ShardMap(
+        tuple(Backend(bid, "127.0.0.1", ports[bid]) for bid in ("b0", "b1")),
+        ("s0",), replication=2,
+    )
+    router = ClusterRouter(shardmap, hedge=hedge)
+    with BackgroundServer(router) as bg:
+        conn = http.client.HTTPConnection("127.0.0.1", bg.port, timeout=10)
+        try:
+            conn.request("POST", "/query", json.dumps({"v": 2, "query": "a"}))
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            assert resp.status == 500
+            assert body["status"] == "failed"
+            assert body["failed_shards"] == ["s0"]
+            assert body["detail"]["failed_backends"] == {"b0": ["s0"], "b1": ["s0"]}
+            assert "unusable" in body["error"]
+            # Same socket, next request: the connection survived.
+            conn.request("GET", "/healthz")
+            assert conn.getresponse().status == 200
+        finally:
+            conn.close()
+    assert router.metrics.backend(second).failures == 1
+    assert router.metrics.queries == {"failed": 1}
 
 
 # ----------------------------------------------------------------------

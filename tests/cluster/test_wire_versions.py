@@ -6,7 +6,6 @@ version skew rides a separate channel — the pin header — and resolves
 via 410 + refetch.
 """
 
-import http.client
 import json
 
 import pytest
@@ -19,15 +18,7 @@ from repro.server.protocol import (
     WIRE_VERSION,
 )
 
-
-def _raw_request(port, method, path, body=b"", headers=()):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-    try:
-        conn.request(method, path, body=body, headers=dict(headers))
-        resp = conn.getresponse()
-        return resp.status, dict(resp.getheaders()), resp.read()
-    finally:
-        conn.close()
+from tests.conftest import _raw_request
 
 
 @pytest.mark.parametrize("version", sorted(SUPPORTED_WIRE_VERSIONS))

@@ -49,6 +49,19 @@ def sorted_unique(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
     )
 
 
+def _raw_request(port, method, path, body=b"", headers=()):
+    """One HTTP exchange on a fresh connection: ``(status, headers, payload)``."""
+    import http.client
+
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request(method, path, body=body, headers=dict(headers))
+        resp = conn.getresponse()
+        return resp.status, dict(resp.getheaders()), resp.read()
+    finally:
+        conn.close()
+
+
 def corrupt_term_payload(directory, shard: str, term: str) -> None:
     """Flip one byte inside *term*'s payload blob in a saved store's segment."""
     import json

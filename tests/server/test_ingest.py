@@ -1,7 +1,6 @@
 """POST /ingest over a real socket: durable acks, envelope versioning,
 read-only rejection, admission, and metrics accounting."""
 
-import http.client
 import json
 
 import pytest
@@ -14,18 +13,8 @@ from repro.store.plan import Term
 from repro.store.segments import WritablePostingStore
 from repro.store.wal import replay_wal
 
+from tests.conftest import _raw_request
 from tests.server.conftest import make_store
-
-
-def _raw_request(port, method, path, body=b"", headers=()):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-    try:
-        conn.request(method, path, body=body, headers=dict(headers))
-        resp = conn.getresponse()
-        payload = resp.read()
-        return resp.status, dict(resp.getheaders()), payload
-    finally:
-        conn.close()
 
 
 @pytest.fixture

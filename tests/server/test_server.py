@@ -4,7 +4,6 @@ under lenient load, client disconnects mid-exchange, and queue-full
 shedding — all against a real server on a real socket.
 """
 
-import http.client
 import json
 import socket
 import threading
@@ -20,19 +19,8 @@ from repro.server import (
 )
 from repro.store import And, Or, PostingStore, QueryEngine, Term
 
-from tests.conftest import corrupt_term_payload
+from tests.conftest import corrupt_term_payload, _raw_request
 from tests.server.conftest import make_store
-
-
-def _raw_request(port, method, path, body=b"", headers=()):
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
-    try:
-        conn.request(method, path, body=body, headers=dict(headers))
-        resp = conn.getresponse()
-        payload = resp.read()
-        return resp.status, dict(resp.getheaders()), payload
-    finally:
-        conn.close()
 
 
 # ----------------------------------------------------------------------

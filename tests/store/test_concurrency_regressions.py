@@ -13,7 +13,9 @@ the concurrency rules over the tree (see ``docs/static_analysis.md``):
   segment and revision counters without the write lock.
 """
 
+import sys
 import threading
+import time
 
 from repro.store.cache import CacheStats, DecodeCache
 from repro.store.metrics import StoreMetrics
@@ -96,3 +98,62 @@ def test_wal_replay_holds_write_lock(tmp_path):
         runtime_witness.force_enable(False)
         runtime_witness.reset()
         seeding.close()
+
+
+def test_write_stats_is_safe_against_ingest_and_compaction_churn(tmp_path):
+    """``write_stats()`` (what ``GET /metrics`` calls on the event loop)
+    races a thread that ingests and compacts continuously: it used to
+    flush the WAL handle compaction had just closed (``ValueError: flush
+    of closed file``).  Zero exceptions, and ``wal_bytes`` never shrinks
+    while the same WAL file stays current."""
+    store = WritablePostingStore.open(tmp_path, fsync=False)
+    store.create_shard("s", codec="Roaring", universe=1 << 16)
+    stop = threading.Event()
+    errors: list[BaseException] = []
+    calls = 0
+
+    def churn():
+        try:
+            n = 0
+            while not stop.is_set():
+                store.ingest_batch([("add", "s", f"t{n % 7}", [n % 60_000])])
+                n += 1
+                if n % 3 == 0:
+                    store.compact()
+        except BaseException as exc:  # surfaced by the assert below
+            errors.append(exc)
+
+    def read_stats():
+        nonlocal calls
+        last: dict[str, int] = {}
+        try:
+            while not stop.is_set():
+                path = store._wal.path
+                stats = store.write_stats()
+                calls += 1
+                if store._wal.path == path:  # no rotation in between
+                    assert stats["wal_bytes"] >= last.get(path, 0)
+                    last[path] = stats["wal_bytes"]
+        except BaseException as exc:
+            errors.append(exc)
+
+    switch_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=churn)] + [
+        threading.Thread(target=read_stats) for _ in range(3)
+    ]
+    try:
+        for thread in threads:
+            thread.start()
+        time.sleep(1.5)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=30)
+        sys.setswitchinterval(switch_interval)
+    try:
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert calls > 100 and store.compactions > 1
+    finally:
+        store.close()

@@ -201,3 +201,18 @@ def test_sync_is_the_durability_barrier(tmp_path):
     replay = replay_wal(path)
     assert replay.ops == [_OPS[0]]
     wal.close()
+
+
+def test_size_bytes_is_the_flushed_file_size_and_outlives_close(tmp_path):
+    """``size_bytes`` counts what was appended: equal to the file size
+    at every sync point, and still answerable once the log is closed
+    (a metrics reader may hold the handle across a compaction)."""
+    path = tmp_path / "wal.log"
+    wal = WriteAheadLog(path, fsync=False)
+    assert wal.size_bytes() == 5  # magic + version, buffered
+    for op in _OPS:
+        wal.append(op)
+        wal.sync()
+        assert wal.size_bytes() == os.path.getsize(path)
+    wal.close()
+    assert wal.size_bytes() == os.path.getsize(path)
