@@ -37,5 +37,11 @@ witness:
 test:
 	$(PY) -m pytest -x -q
 
+# The full pytest-benchmark sweep (~9 min).  CI's `check` job runs only
+# the drivers that call repro.ops.evaluate, once per codec, timing off
+# (144 tests, ~5 s) — so a change to the evaluator cannot break them
+# unnoticed:
+#   $(PY) -m pytest benchmarks/bench_fig4_ssb.py benchmarks/bench_fig5_tpch.py \
+#       benchmarks/bench_fig6_web.py --benchmark-disable -q
 bench:
 	$(PY) -m pytest benchmarks -q

@@ -31,11 +31,11 @@ def _expression(codec_name: str, qname: str):
 def test_ssb_q11(benchmark, codec_name):
     expr, sets = _expression(codec_name, "Q1.1")
     benchmark.extra_info["space_bytes"] = sum(cs.size_bytes for cs in sets)
-    benchmark(evaluate, expr)
+    benchmark(evaluate, expr, compressed=False)
 
 
 @pytest.mark.parametrize("codec_name", all_codec_names())
 def test_ssb_q34(benchmark, codec_name):
     expr, sets = _expression(codec_name, "Q3.4")
     benchmark.extra_info["space_bytes"] = sum(cs.size_bytes for cs in sets)
-    benchmark(evaluate, expr)
+    benchmark(evaluate, expr, compressed=False)

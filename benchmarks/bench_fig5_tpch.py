@@ -32,4 +32,4 @@ def _expression(codec_name: str, qname: str):
 def test_tpch(benchmark, codec_name, qname):
     expr, sets = _expression(codec_name, qname)
     benchmark.extra_info["space_bytes"] = sum(cs.size_bytes for cs in sets)
-    benchmark(evaluate, expr)
+    benchmark(evaluate, expr, compressed=False)

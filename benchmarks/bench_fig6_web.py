@@ -39,7 +39,7 @@ def test_web_intersection_log(benchmark, codec_name):
 
     def run_log():
         for expr, _ in prepared:
-            evaluate(expr)
+            evaluate(expr, compressed=False)
 
     benchmark(run_log)
 

@@ -244,7 +244,9 @@ def figure6(
         for query in queries:
             sets = [compressed(lst) for lst in query.lists]
             expr = build_expression(query, sets)
-            isect_total += measure_ms(lambda: evaluate(expr), repeat=repeat)
+            isect_total += measure_ms(
+                lambda: evaluate(expr, compressed=False), repeat=repeat
+            )
             union_total += measure_ms(
                 lambda: codec.union_many(sets), repeat=repeat
             )

@@ -209,7 +209,9 @@ def bench_query(
     """Space + evaluation time of one dataset query under each codec.
 
     Space is the total compressed size of the query's lists; time is the
-    full boolean-expression evaluation (the paper's per-query figures).
+    full boolean-expression evaluation (the paper's per-query figures) in
+    the SvS-probe regime (``compressed=False``): decode the smallest
+    operand, probe the rest — the paper's operator implementations.
     """
     expected = None
     rows = []
@@ -217,7 +219,7 @@ def bench_query(
         codec = get_codec(name)
         sets = [codec.compress(lst, universe=query.domain) for lst in query.lists]
         expr = build_expression(query, sets)
-        got = evaluate(expr)
+        got = evaluate(expr, compressed=False)
         if expected is None:
             expected = got
         elif not np.array_equal(got, expected):
@@ -228,7 +230,9 @@ def bench_query(
             query.name,
             space_bytes=sum(cs.size_bytes for cs in sets),
         )
-        row.intersect_ms = measure_ms(lambda: evaluate(expr), repeat=repeat)
+        row.intersect_ms = measure_ms(
+            lambda: evaluate(expr, compressed=False), repeat=repeat
+        )
         rows.append(row)
     return rows
 

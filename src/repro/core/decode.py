@@ -106,16 +106,38 @@ def decode(
         The decoded posting array.  Cached arrays are returned read-only
         (``writeable=False``) so one query cannot corrupt another's hit.
 
-    When *cache* implements :class:`CoalescingCache`, a miss enters the
-    single-flight path: one leader decodes while concurrent callers for
-    the same key wait on its ticket and share the result — each compressed
-    set decodes at most once per stampede.  A follower whose leader aborts
-    (or whose wait times out) falls back to decoding independently.
+    A miss continues in :func:`decode_miss`.
     """
     if cache is not None and key is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
+    return decode_miss(cs, codec=codec, cache=cache, key=key, observer=observer)
+
+
+def decode_miss(
+    cs: CompressedIntegerSet,
+    *,
+    codec: IntegerSetCodec | None = None,
+    cache: ArrayCache | None = None,
+    key: DecodeKey | None = None,
+    observer: DecodeObserver | None = None,
+) -> np.ndarray:
+    """The miss half of :func:`decode`: decompress *cs* and fill *cache*.
+
+    For callers that have already looked *key* up themselves (the
+    expression evaluator does, to choose a strategy) — going through
+    :func:`decode` again would count every cold leaf as two misses.
+
+    When *cache* implements :class:`CoalescingCache`, the decode enters
+    the single-flight path: one leader decodes while concurrent callers
+    for the same key wait on its ticket and share the result — each
+    compressed set decodes at most once per stampede.  ``begin_flight``
+    re-checks the cache, so an entry published since the caller's lookup
+    is still served.  A follower whose leader aborts (or whose wait times
+    out) falls back to decoding independently.
+    """
+    if cache is not None and key is not None:
         if isinstance(cache, CoalescingCache):
             flight = cache.begin_flight(key)
             if flight.leader:

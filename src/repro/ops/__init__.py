@@ -4,17 +4,20 @@
   study (decompress the shortest list, probe the rest via skip pointers).
 * :func:`merge_union` — decompress-then-merge k-way union.
 * :mod:`repro.ops.expressions` — boolean expression trees for the
-  SSB/TPCH query shapes such as ``(L1 ∪ L2) ∩ (L3 ∪ L4) ∩ L5``.
+  SSB/TPCH query shapes such as ``(L1 ∪ L2) ∩ (L3 ∪ L4) ∩ L5``, and
+  :func:`evaluate`, the one cache- and capability-aware walk over them
+  (the paper benches call it directly; served queries reach it through
+  ``ShardPlan.execute``).
 """
 
 from repro.ops.expressions import (
     And,
+    ExecStats,
     Leaf,
     Or,
     QueryExpression,
     and_order,
     evaluate,
-    iter_leaves,
     or_partition,
 )
 from repro.ops.intersection import merge_intersect, svs_intersect
@@ -30,7 +33,7 @@ __all__ = [
     "Or",
     "Leaf",
     "evaluate",
-    "iter_leaves",
+    "ExecStats",
     "and_order",
     "or_partition",
     "ScoredPostingList",

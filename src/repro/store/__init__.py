@@ -10,8 +10,11 @@ system that *serves* them.  This package is that system's kernel:
 * :class:`DecodeCache` — bounded LRU of decoded arrays keyed by
   ``(shard, term, codec)`` with hit/miss/eviction counters;
 * :func:`compile_shard_plan` / :class:`Query` — term-level boolean
-  queries compiled to leaf-size-ordered SvS / compressed-OR plans built
-  on :mod:`repro.ops.expressions`;
+  queries compiled to :mod:`repro.ops.expressions` trees whose leaves
+  carry their decode-cache keys; ``ShardPlan.execute`` delegates to
+  :func:`repro.ops.evaluate`, the one evaluator (leaf-size-ordered SvS,
+  compressed OR, capability-driven compressed folds), and
+  :class:`ExecStats` is that evaluator's counter pair;
 * :class:`QueryEngine` — concurrent scatter-gather batch execution with
   per-query deadlines and graceful degradation (failing shards flag the
   result partial instead of crashing the query);
@@ -46,6 +49,7 @@ the legacy nested-tuple grammar was removed with wire protocol v2 —
 this package lives in :mod:`repro.server`.
 """
 
+from repro.ops.expressions import ExecStats
 from repro.store.cache import (
     CacheStats,
     DecodeCache,
@@ -70,7 +74,6 @@ from repro.store.mapped import (
 from repro.store.metrics import LatencyHistogram, StoreMetrics
 from repro.store.plan import (
     And,
-    ExecStats,
     Or,
     Query,
     QueryNode,

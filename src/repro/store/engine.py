@@ -34,10 +34,10 @@ import numpy as np
 
 from repro.analysis.runtime_witness import maybe_witness
 from repro.core.base import union_sorted_arrays
+from repro.ops.expressions import ExecStats
 from repro.store.cache import DecodeCache, PlanResultCache
 from repro.store.metrics import StoreMetrics
 from repro.store.plan import (
-    ExecStats,
     Query,
     QueryLike,
     ShardPlan,
@@ -66,7 +66,7 @@ class QueryResult:
     failed_shards: tuple[str, ...] = ()
     degraded_terms: tuple[str, ...] = ()
     #: Compressed-domain kernel invocations across all shards (see
-    #: :class:`repro.store.plan.ExecStats`); 0 on plan-cache hits.
+    #: :class:`repro.ops.expressions.ExecStats`); 0 on plan-cache hits.
     compressed_ops: int = 0
     #: Full leaf materialisations across all shards; 0 on plan-cache hits.
     decoded_ops: int = 0
@@ -226,20 +226,9 @@ class QueryEngine:
                 propagates a client's deadline header into the engine's
                 cooperative deadline.
         """
-        t0 = time.perf_counter()
-        try:
-            query = self._coerce(query)
-        except (TypeError, ValueError) as exc:
-            # Malformed query: a failed result, not a crash — matching
-            # the per-shard graceful-degradation contract.
-            result = QueryResult(
-                query_id=query.query_id if isinstance(query, Query) else "",
-                values=None,
-                latency_ms=(time.perf_counter() - t0) * 1000.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self.metrics.record_query(result.latency_ms, failed=True)
-            return result
+        query = self._admit(query)
+        if isinstance(query, QueryResult):
+            return query
         budget = timeout_s if timeout_s is not None else self.timeout_s
         deadline = time.perf_counter() + budget if budget is not None else None
         result = self._run(query, deadline)
@@ -275,16 +264,20 @@ class QueryEngine:
         waiting shortly after the deadline and reports a timed-out
         result; the worker's eventual output is discarded.
         """
-        coerced = [self._coerce(q) for q in queries]
+        admitted = [self._admit(q) for q in queries]
         pool = self._ensure_pool()
         t0 = time.perf_counter()
         # Dedupe: one submitted execution per distinct (canonical
         # expression, shard set); `assignment` maps each input query to
-        # its future.
+        # its future.  A malformed entry is already its own failed
+        # result: it is not submitted and coalesces with nothing.
         futures: list[Future[QueryResult]] = []
         assignment: list[int] = []
         seen: dict[tuple[str, tuple[str, ...] | None], int] = {}
-        for query in coerced:
+        for query in admitted:
+            if isinstance(query, QueryResult):
+                assignment.append(-1)
+                continue
             work = (canonical_key(canonicalize(query.expression)), query.shards)
             idx = seen.get(work)
             if idx is None:
@@ -294,7 +287,10 @@ class QueryEngine:
             assignment.append(idx)
         collected: dict[int, QueryResult] = {}
         results: list[QueryResult] = []
-        for query, idx in zip(coerced, assignment):
+        for query, idx in zip(admitted, assignment):
+            if isinstance(query, QueryResult):
+                results.append(query)
+                continue
             primary = collected.get(idx)
             if primary is None:
                 try:
@@ -354,6 +350,23 @@ class QueryEngine:
         ]
 
     # ------------------------------------------------------------------
+    def _admit(self, query: Query | QueryLike) -> Query | QueryResult:
+        """The normalised query — or, for a malformed one, its failed
+        result, recorded in metrics: a failed result, not a crash,
+        matching the per-shard graceful-degradation contract."""
+        t0 = time.perf_counter()
+        try:
+            return self._coerce(query)
+        except (TypeError, ValueError) as exc:
+            result = QueryResult(
+                query_id=query.query_id if isinstance(query, Query) else "",
+                values=None,
+                latency_ms=(time.perf_counter() - t0) * 1000.0,
+                error=f"{type(exc).__name__}: {exc}",
+            )
+            self.metrics.record_query(result.latency_ms, failed=True)
+            return result
+
     def _coerce(self, query: Query | QueryLike) -> Query:
         """Normalise to a :class:`Query` holding a typed-AST expression.
 

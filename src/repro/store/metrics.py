@@ -12,7 +12,7 @@ Three instrument families, all thread-safe and all JSON-able via
   :class:`repro.core.decode.DecodeObserver` protocol;
 * **exec-op counts** — compressed-domain kernel invocations vs full leaf
   materialisations, aggregated from the per-query
-  :class:`repro.store.plan.ExecStats` the engine collects.
+  :class:`repro.ops.expressions.ExecStats` the engine collects.
 
 The snapshot schema is documented in ``docs/query_engine.md`` and pinned
 by ``tests/store/test_metrics.py``; the bench harness's served mode and

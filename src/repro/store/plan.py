@@ -15,27 +15,23 @@ nodes and bare term strings; the historical nested-tuple grammar
 with wire protocol v1 (see ``docs/serving.md``).
 
 Per shard, :func:`compile_shard_plan` resolves terms to compressed sets
-and builds a :mod:`repro.ops.expressions` tree, constant-folding what
-the paper's one-shot benchmarks never see: terms missing from the shard
-become empty leaves, an ``and`` over an empty leaf folds to the empty
-plan, an ``or`` drops empty children.  The compiled plan shares the
-evaluator's ordering hooks (:func:`~repro.ops.expressions.and_order`,
-:func:`~repro.ops.expressions.or_partition`) so ``describe()`` shows
-exactly the leaf-size-ordered SvS and per-codec compressed-OR grouping
-execution will use.
+and builds a :mod:`repro.ops.expressions` tree — the boundary between
+the logical tree above (names, JSON, canonical form) and the physical
+one (resolved sets, size estimates, decode-cache keys) — constant-folding
+what the paper's one-shot benchmarks never see: terms missing from the
+shard become empty leaves, an ``and`` over an empty leaf folds to the
+empty plan, an ``or`` drops empty children.  Every leaf carries its
+``(shard, term, codec)`` decode-cache key.
 
-Execution adds two dimensions the plain evaluator lacks.  First, the
-cache: every full leaf materialisation goes through
-:func:`repro.core.decode` keyed by ``(shard, term, codec)``, and leaves
-whose decoded form is already cached are merged as arrays instead of
-re-probed through the compressed form.  Second, compressed-domain
-execution: when adjacent operands share a codec that declares
-:class:`~repro.core.base.Capability` ``INTERSECT_COMPRESSED`` /
-``UNION_COMPRESSED``, the evaluator folds them with the codec's
-compressed kernels and threads the *compressed* intermediate onward,
-materialising positions only once at the root (or at the first operator
-that cannot stay compressed).  :class:`ExecStats` counts how often each
-regime fired.
+:meth:`ShardPlan.execute` hands the compiled tree to
+:func:`repro.ops.expressions.evaluate`, the package's one evaluator
+(cache-aware, compressed-domain where the codec's declared capabilities
+allow; see that module).  ``describe()`` renders the tree through the
+evaluator's own ordering functions
+(:func:`~repro.ops.expressions.and_order`,
+:func:`~repro.ops.expressions.or_partition`), so it shows exactly the
+leaf-size-ordered SvS and per-codec compressed-OR grouping execution
+will use.
 """
 
 from __future__ import annotations
@@ -47,19 +43,18 @@ from typing import Union
 import numpy as np
 
 from repro.core.base import (
-    Capability,
     CompressedIntegerSet,
-    IntegerSetCodec,
     difference_sorted_arrays,
-    intersect_sorted_arrays,
     union_sorted_arrays,
 )
 from repro.core.decode import ArrayCache, DecodeObserver, decode
 from repro.core.registry import get_codec
 from repro.ops import expressions as ops_expr
 from repro.ops.expressions import (
+    ExecStats,
     QueryExpression,
     and_order,
+    evaluate,
     or_partition,
 )
 from repro.store.store import PostingStore
@@ -270,43 +265,11 @@ def _unwrap(cs: CompressedIntegerSet) -> CompressedIntegerSet:
 
 
 @dataclass
-class ExecStats:
-    """Operator counters for one plan execution.
-
-    ``compressed_ops`` counts compressed-domain kernel invocations —
-    ``intersect_compressed`` / ``union_compressed`` folds, SvS probes via
-    ``intersect_with_array``, and cold ``union_many`` groups — i.e. work
-    done without materialising the operands.  ``decoded_ops`` counts full
-    leaf materialisations the plan requested (decode-cache hits and
-    misses alike; the observer separates those).  The engine aggregates
-    both across shards onto the query result and the store metrics.
-    """
-
-    compressed_ops: int = 0
-    decoded_ops: int = 0
-
-    def merge(self, other: "ExecStats") -> None:
-        self.compressed_ops += other.compressed_ops
-        self.decoded_ops += other.decoded_ops
-
-
-#: What internal evaluation steps may yield: materialised positions, or a
-#: still-compressed intermediate threading through capable kernels.
-_EvalResult = Union[np.ndarray, CompressedIntegerSet]
-
-
-def _result_count(value: _EvalResult) -> int:
-    return int(value.size) if isinstance(value, np.ndarray) else value.n
-
-
-@dataclass
 class ShardPlan:
     """One shard's executable slice of a query."""
 
     shard: str
     expr: QueryExpression | None  #: None ⇒ constant-folded to empty
-    #: id(leaf cs) → (shard, term, codec_name) cache key.
-    keymap: dict[int, tuple[str, str, str]] = field(default_factory=dict)
     terms: list[str] = field(default_factory=list)
     missing_terms: list[str] = field(default_factory=list)
     #: Terms this query needed that were lost to a lenient load or whose
@@ -327,261 +290,34 @@ class ShardPlan:
     ) -> np.ndarray:
         """Evaluate to a sorted array, consulting/filling *cache*.
 
-        With ``cache_probes=True`` every AND probe leaf is also decoded
-        through the cache (array-merge instead of compressed probe) —
-        higher first-query cost, fully cached steady state.
-
-        With ``compressed=True`` (the default) operators whose operands
-        share a codec declaring the matching
-        :class:`~repro.core.base.Capability` are folded in the
-        compressed domain, and intermediates stay compressed until a
-        consumer needs positions.  ``compressed=False`` forces the
-        decode/probe paths everywhere (the decode-then-merge baseline
-        the perf gate compares against).  Pass *stats* to receive the
-        per-execution operator counters.
+        A constant-folded plan is the empty array; anything else is
+        :func:`repro.ops.expressions.evaluate` on the compiled tree,
+        and the keywords are that function's.
         """
-        stats = stats if stats is not None else ExecStats()
-        # cache_probes is an explicit materialise-through-cache policy:
-        # every leaf must land in the decode cache, so compressed-domain
-        # deferral (which skips leaf materialisation entirely) is off.
-        compressed = compressed and not cache_probes
         if self.expr is None:
             return np.empty(0, dtype=np.int64)
-        if isinstance(self.expr, ops_expr.Leaf):
-            # A bare-leaf root always materialises through the decode
-            # cache — returning the compressed set here would bypass the
-            # keyed cache and regress repeat single-term queries.
-            stats.decoded_ops += 1
-            return self._decode_leaf(self.expr.cs, cache, observer)
-        out = self._eval(self.expr, cache, observer, cache_probes, compressed, stats)
-        return self._materialize(out, cache, observer, stats)
-
-    def _key(self, cs: CompressedIntegerSet) -> tuple[str, str, str] | None:
-        return self.keymap.get(id(cs))
-
-    def _decode_leaf(
-        self,
-        cs: CompressedIntegerSet,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-    ) -> np.ndarray:
-        return decode(cs, cache=cache, key=self._key(cs), observer=observer)
-
-    def _cached(
-        self, cs: CompressedIntegerSet, cache: ArrayCache | None
-    ) -> np.ndarray | None:
-        if cache is None:
-            return None
-        key = self._key(cs)
-        return cache.get(key) if key is not None else None
-
-    def _materialize(
-        self,
-        value: _EvalResult,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        stats: ExecStats,
-    ) -> np.ndarray:
-        """Positions of an evaluation step's result.
-
-        Original leaves (present in the keymap) decode through the keyed
-        cache; anonymous compressed intermediates decompress directly —
-        they are query-specific, so caching them would pin memory without
-        ever serving a later hit.
-        """
-        if isinstance(value, np.ndarray):
-            return value
-        if self._key(value) is not None:
-            stats.decoded_ops += 1
-            return self._decode_leaf(value, cache, observer)
-        return get_codec(value.codec_name).decompress(value)
-
-    @staticmethod
-    def _capable(cs: CompressedIntegerSet, cap: Capability) -> bool:
-        return cap in get_codec(cs.codec_name).capabilities()
-
-    def _eval(
-        self,
-        expr: QueryExpression,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        cache_probes: bool,
-        compressed: bool,
-        stats: ExecStats,
-    ) -> _EvalResult:
-        if isinstance(expr, ops_expr.Leaf):
-            return self._eval_leaf(expr.cs, cache, observer, compressed, stats)
-        if isinstance(expr, ops_expr.Or):
-            return self._eval_or(expr, cache, observer, cache_probes, compressed, stats)
-        return self._eval_and(expr, cache, observer, cache_probes, compressed, stats)
-
-    def _eval_leaf(
-        self,
-        cs: CompressedIntegerSet,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        compressed: bool,
-        stats: ExecStats,
-    ) -> _EvalResult:
-        hit = self._cached(cs, cache)
-        if hit is not None:
-            stats.decoded_ops += 1
-            return hit
-        if compressed and self._capable(cs, Capability.INTERSECT_COMPRESSED):
-            # Defer: the consuming operator decides whether this stays on
-            # a compressed kernel or needs positions.
-            return cs
-        stats.decoded_ops += 1
-        return self._decode_leaf(cs, cache, observer)
-
-    def _eval_or(
-        self,
-        expr: ops_expr.Or,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        cache_probes: bool,
-        compressed: bool,
-        stats: ExecStats,
-    ) -> _EvalResult:
-        groups, others = or_partition(expr.children)
-        if compressed and not others and len(groups) == 1:
-            group = groups[0]
-            codec = get_codec(group[0].codec_name)
-            if Capability.UNION_COMPRESSED in codec.capabilities() and all(
-                self._cached(cs, cache) is None for cs in group
-            ):
-                # Single-codec OR with no cached operands: fold entirely
-                # in the compressed domain and hand the compressed union
-                # to the consumer (e.g. an enclosing AND's kernels).
-                acc = group[0]
-                for cs in group[1:]:
-                    acc = codec.union_compressed(acc, cs)
-                    stats.compressed_ops += 1
-                return acc
-        result = np.empty(0, dtype=np.int64)
-        for group in groups:
-            # Cached leaves merge as arrays; the rest stay on the
-            # codec's compressed-OR path (union_many).
-            cold: list[CompressedIntegerSet] = []
-            for cs in group:
-                hit = self._cached(cs, cache)
-                if hit is not None:
-                    result = union_sorted_arrays(result, hit)
-                else:
-                    cold.append(cs)
-            if cold:
-                codec = get_codec(cold[0].codec_name)
-                result = union_sorted_arrays(result, codec.union_many(cold))
-                stats.compressed_ops += 1
-        for child in others:
-            sub = self._eval(child, cache, observer, cache_probes, compressed, stats)
-            result = union_sorted_arrays(
-                result, self._materialize(sub, cache, observer, stats)
-            )
-        return result
-
-    def _eval_and(
-        self,
-        expr: ops_expr.And,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        cache_probes: bool,
-        compressed: bool,
-        stats: ExecStats,
-    ) -> _EvalResult:
-        ordered = and_order(expr.children)
-        result = self._eval(ordered[0], cache, observer, cache_probes, compressed, stats)
-        for child in ordered[1:]:
-            if _result_count(result) == 0:
-                break
-            if isinstance(child, ops_expr.Leaf):
-                result = self._and_leaf(
-                    result, child.cs, cache, observer, cache_probes, compressed, stats
-                )
-            else:
-                sub = self._eval(
-                    child, cache, observer, cache_probes, compressed, stats
-                )
-                result = self._and_pair(result, sub, cache, observer, compressed, stats)
-        return result
-
-    def _and_leaf(
-        self,
-        acc: _EvalResult,
-        cs: CompressedIntegerSet,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        cache_probes: bool,
-        compressed: bool,
-        stats: ExecStats,
-    ) -> _EvalResult:
-        hit = self._cached(cs, cache)
-        if hit is not None:
-            stats.decoded_ops += 1
-            return intersect_sorted_arrays(
-                self._materialize(acc, cache, observer, stats), hit
-            )
-        if cache_probes:
-            # Explicit materialise-through-cache policy: takes precedence
-            # over compressed kernels so the steady state is fully cached.
-            stats.decoded_ops += 1
-            mine = self._decode_leaf(cs, cache, observer)
-            return intersect_sorted_arrays(
-                self._materialize(acc, cache, observer, stats), mine
-            )
-        if (
-            compressed
-            and isinstance(acc, CompressedIntegerSet)
-            and acc.codec_name == cs.codec_name
-            and self._capable(cs, Capability.INTERSECT_COMPRESSED)
-        ):
-            stats.compressed_ops += 1
-            return get_codec(cs.codec_name).intersect_compressed(acc, cs)
-        stats.compressed_ops += 1
-        return get_codec(cs.codec_name).intersect_with_array(
-            cs, self._materialize(acc, cache, observer, stats)
-        )
-
-    def _and_pair(
-        self,
-        acc: _EvalResult,
-        sub: _EvalResult,
-        cache: ArrayCache | None,
-        observer: DecodeObserver | None,
-        compressed: bool,
-        stats: ExecStats,
-    ) -> _EvalResult:
-        if (
-            compressed
-            and isinstance(acc, CompressedIntegerSet)
-            and isinstance(sub, CompressedIntegerSet)
-            and acc.codec_name == sub.codec_name
-            and self._capable(acc, Capability.INTERSECT_COMPRESSED)
-        ):
-            stats.compressed_ops += 1
-            return get_codec(acc.codec_name).intersect_compressed(acc, sub)
-        if isinstance(sub, CompressedIntegerSet) and self._capable(
-            sub, Capability.INTERSECT_WITH_ARRAY
-        ):
-            stats.compressed_ops += 1
-            return get_codec(sub.codec_name).intersect_with_array(
-                sub, self._materialize(acc, cache, observer, stats)
-            )
-        return intersect_sorted_arrays(
-            self._materialize(acc, cache, observer, stats),
-            self._materialize(sub, cache, observer, stats),
+        return evaluate(
+            self.expr,
+            cache=cache,
+            observer=observer,
+            cache_probes=cache_probes,
+            compressed=compressed,
+            stats=stats,
         )
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
         """JSON-able plan tree showing execution order and strategies."""
-        names = {cs_id: key[1] for cs_id, key in self.keymap.items()}
+
+        def term(leaf: ops_expr.Leaf) -> str:
+            # Compiled keys are (shard, term, codec) triples.
+            return leaf.key[1] if isinstance(leaf.key, tuple) else "<anon>"
 
         def walk(expr: QueryExpression) -> dict:
             if isinstance(expr, ops_expr.Leaf):
                 return {
                     "op": "leaf",
-                    "term": names.get(id(expr.cs), "<anon>"),
+                    "term": term(expr),
                     "codec": expr.cs.codec_name,
                     "n": expr.cs.n,
                 }
@@ -592,8 +328,8 @@ class ShardPlan:
                     "strategy": "compressed-or",
                     "groups": [
                         {
-                            "codec": g[0].codec_name,
-                            "terms": [names.get(id(cs), "<anon>") for cs in g],
+                            "codec": g[0].cs.codec_name,
+                            "terms": [term(leaf) for leaf in g],
                         }
                         for g in groups
                     ],
@@ -687,16 +423,13 @@ def compile_shard_plan(
         if not touched and cs is None:
             return None  # overlay was all no-ops; term truly absent
         assert list_codec is not None
-        leaf = list_codec.compress(merged)
         ver = state.versions.get(term, 0)
         epoch = "" if mapped_epoch is None else f"m{mapped_epoch}"
-        plan.keymap[id(leaf)] = (
-            shard_name,
-            term,
-            f"List@{epoch}g{ver}r{'.'.join(revs)}",
-        )
         plan.delta_terms.append(term)
-        return ops_expr.Leaf(leaf)
+        return ops_expr.Leaf(
+            list_codec.compress(merged),
+            (shard_name, term, f"List@{epoch}g{ver}r{'.'.join(revs)}"),
+        )
 
     def build(node: QueryNode) -> QueryExpression | None:
         if isinstance(node, Term):
@@ -715,8 +448,7 @@ def compile_shard_plan(
                     plan.missing_terms.append(node.name)
                 return None
             inner = _unwrap(cs)
-            plan.keymap[id(inner)] = versioned(node.name, inner.codec_name)
-            return ops_expr.Leaf(inner)
+            return ops_expr.Leaf(inner, versioned(node.name, inner.codec_name))
         parts = [build(c) for c in node.children]
         if isinstance(node, And):
             if any(p is None for p in parts):
@@ -731,7 +463,3 @@ def compile_shard_plan(
     plan.expr = build(root)
     return plan
 
-
-def shard_codec(store: PostingStore, shard_name: str) -> IntegerSetCodec:
-    """The codec instance a shard compresses with (explain convenience)."""
-    return store.shard(shard_name).codec

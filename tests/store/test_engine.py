@@ -86,6 +86,22 @@ def test_invalid_grammar_fails_query_without_crashing():
     assert "not a query expression" in result.error
 
 
+def test_batch_serves_around_a_malformed_entry():
+    """A malformed entry fails in its own slot — same result as
+    ``execute`` gives it — instead of raising out of the whole batch."""
+    engine = QueryEngine(_sharded_store())
+    bad = Query(expression=("and", "even", "third"), query_id="bad")
+    results = engine.execute_batch(["even", bad, bad, Query("rare", query_id="q3")])
+    assert [r.status for r in results] == ["ok", "failed", "failed", "ok"]
+    assert [r.query_id for r in results] == ["", "bad", "bad", "q3"]
+    assert np.array_equal(results[0].values, EVEN)
+    assert np.array_equal(results[3].values, RARE)
+    assert results[1] is not results[2]  # malformed entries never coalesce
+    assert results[1].values is None and "nested-tuple" in results[1].error
+    snap = engine.metrics.snapshot()["queries"]
+    assert (snap["total"], snap["ok"], snap["failed"]) == (4, 2, 2)
+
+
 def test_batch_preserves_order_and_results():
     engine = QueryEngine(_sharded_store(), max_workers=3)
     queries = [

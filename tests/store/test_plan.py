@@ -50,7 +50,7 @@ def test_compile_single_term():
     plan = compile_shard_plan(_store(), "s0", "a")
     assert isinstance(plan.expr, Leaf)
     assert plan.terms == ["a"] and not plan.missing_terms
-    assert plan.keymap[id(plan.expr.cs)] == ("s0", "a", "Roaring")
+    assert plan.expr.key == ("s0", "a", "Roaring")
     assert np.array_equal(plan.execute(), A)
 
 
@@ -89,7 +89,7 @@ def test_degraded_term_recorded_separately():
 
 def test_adaptive_leaves_unwrap_to_inner_codec():
     plan = compile_shard_plan(_store("Adaptive"), "s0", And("a", "b"))
-    inner_names = {key[2] for key in plan.keymap.values()}
+    inner_names = {leaf.key[2] for leaf in plan.expr.children}
     assert "Adaptive" not in inner_names  # unwrapped to registered codecs
     want = np.intersect1d(A, B)
     assert np.array_equal(plan.execute(), want)
@@ -125,6 +125,40 @@ def test_cache_probes_decodes_and_probe_leaves():
     cache.clear()
     plan.execute(cache=cache, cache_probes=True)
     assert len(cache) == 2  # probe leaf decoded through the cache too
+
+
+@pytest.mark.parametrize("codec", ["SIMDBP128*", "Roaring", "WAH"])
+def test_cold_leaf_costs_one_cache_lookup(codec):
+    """The evaluator's strategy peek and the decode that follows share
+    one lookup, so a cold leaf is one miss — not two — in ``hit_rate``."""
+    plan = compile_shard_plan(_store(codec), "s0", And("a", "b"))
+    for cache_probes, insertions in ((False, 1), (True, 2)):
+        cache = DecodeCache()
+        # compressed=False: the same decode/probe regime for all three
+        # codecs (the default would fold the bitmaps without decoding).
+        plan.execute(cache=cache, cache_probes=cache_probes, compressed=False)
+        stats = cache.stats()
+        assert (stats.misses, stats.insertions) == (2, insertions)
+        assert (stats.hits, stats.flights) == (0, insertions)
+
+
+@pytest.mark.parametrize("compressed", [True, False])
+@pytest.mark.parametrize("cache_probes", [True, False])
+@pytest.mark.parametrize("warm", [(), ("a",), ("b", "c")])
+def test_misses_never_exceed_leaves(compressed, cache_probes, warm):
+    """Whatever the regime — deferred leaves materialised later, partly
+    warm ORs — one evaluation looks each leaf up at most once."""
+    store = _store()
+    cache = DecodeCache()
+    for term in warm:
+        compile_shard_plan(store, "s0", term).execute(cache=cache)
+    before = cache.stats()
+    plan = compile_shard_plan(store, "s0", And("a", Or("b", "c")))
+    got = plan.execute(cache=cache, cache_probes=cache_probes, compressed=compressed)
+    assert np.array_equal(got, np.intersect1d(A, np.union1d(B, C)))
+    after = cache.stats()
+    lookups = (after.hits - before.hits) + (after.misses - before.misses)
+    assert lookups <= 3 and after.misses - before.misses <= 3 - len(warm)
 
 
 def test_describe_reports_strategies():

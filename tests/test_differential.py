@@ -22,6 +22,7 @@ from repro import all_codec_names, get_codec
 from repro.core.base import Capability
 from repro.datagen import markov_list, uniform_list, zipf_list
 from repro.ops import And, Leaf, Or, evaluate
+from repro.store import DecodeCache
 
 DOMAIN = 1 << 16
 SEED = 20170514
@@ -73,6 +74,39 @@ def test_kary_matches_reference(codec, dist):
     assert np.array_equal(codec.union_many(sets), _ref_or(*arrays))
 
 
+def _assert_every_regime(build, leaves, arrays, want):
+    """``evaluate`` against the numpy reference in every regime of the
+    one evaluator: compressed-domain on/off × cache_probes on/off × no
+    cache, a cold cache (and a second pass over whatever the first left
+    in it — the partly-warm paths), and a fully warm one.
+
+    A loop rather than ``parametrize`` so the per-codec × distribution
+    test ids stay what they were.
+    """
+    keyed = [Leaf(leaf.cs, ("diff", i, leaf.cs.codec_name)) for i, leaf in enumerate(leaves)]
+    for compressed in (True, False):
+        for cache_probes in (False, True):
+            regime = {"compressed": compressed, "cache_probes": cache_probes}
+            assert np.array_equal(evaluate(build(leaves), **regime), want), regime
+            cold, warm = DecodeCache(), DecodeCache()
+            for leaf, arr in zip(keyed, arrays):
+                warm.put(leaf.key, arr.copy())
+            for cache in (cold, cold, warm):
+                before = cache.stats().misses
+                got = evaluate(build(keyed), cache=cache, **regime)
+                assert np.array_equal(got, want), (regime, cache.stats())
+                assert cache.stats().misses - before <= len(keyed)
+            assert warm.stats().misses == 0
+
+
+def _q12(leaves):  # (L1 ∪ L2) ∩ L3
+    return And(Or(leaves[0], leaves[1]), leaves[2])
+
+
+def _q34(leaves):  # (L1 ∪ L2) ∩ (L3 ∪ L4) ∩ L5
+    return And(Or(leaves[0], leaves[1]), Or(leaves[2], leaves[3]), leaves[4])
+
+
 @pytest.mark.parametrize("dist", sorted(_GEN))
 def test_expression_plans_match_reference(codec, dist):
     """The paper's composite shapes: TPCH Q12 and SSB Q3.4 skeletons."""
@@ -80,18 +114,32 @@ def test_expression_plans_match_reference(codec, dist):
     gen = _GEN[dist]
     arrays = [gen(n, DOMAIN, rng=rng) for n in (900, 1_800, 3_600, 700, 2_200)]
     leaves = [Leaf(codec.compress(arr, universe=DOMAIN)) for arr in arrays]
-    # (L1 ∪ L2) ∩ L3
-    got = evaluate(And(Or(leaves[0], leaves[1]), leaves[2]))
     want = _ref_and(_ref_or(arrays[0], arrays[1]), arrays[2])
-    assert np.array_equal(got, want)
-    # (L1 ∪ L2) ∩ (L3 ∪ L4) ∩ L5
-    got = evaluate(
-        And(Or(leaves[0], leaves[1]), Or(leaves[2], leaves[3]), leaves[4])
-    )
+    _assert_every_regime(_q12, leaves, arrays, want)
     want = _ref_and(
         _ref_or(arrays[0], arrays[1]), _ref_or(arrays[2], arrays[3]), arrays[4]
     )
-    assert np.array_equal(got, want)
+    _assert_every_regime(_q34, leaves, arrays, want)
+
+
+@pytest.mark.parametrize("dist", sorted(_GEN))
+def test_mixed_codec_expressions_match_reference(dist):
+    """Roaring and SIMDPforDelta* leaves in one tree — what an Adaptive
+    shard compiles to, and what ``or_partition`` groups by codec for."""
+    rng = _seeded(dist, 6)
+    gen = _GEN[dist]
+    arrays = [gen(n, DOMAIN, rng=rng) for n in (900, 1_800, 3_600, 700, 2_200)]
+    names = ("Roaring", "SIMDPforDelta*", "Roaring", "SIMDPforDelta*", "Roaring")
+    leaves = [
+        Leaf(get_codec(name).compress(arr, universe=DOMAIN))
+        for name, arr in zip(names, arrays)
+    ]
+    _assert_every_regime(lambda ls: And(*ls), leaves, arrays, _ref_and(*arrays))
+    _assert_every_regime(lambda ls: Or(*ls), leaves, arrays, _ref_or(*arrays))
+    want = _ref_and(
+        _ref_or(arrays[0], arrays[1]), _ref_or(arrays[2], arrays[3]), arrays[4]
+    )
+    _assert_every_regime(_q34, leaves, arrays, want)
 
 
 #: (name, builder) pairs — built lazily so each test gets fresh arrays.
