@@ -1,6 +1,11 @@
 # Development gate for the bitmap-vs-invlist reproduction.
 #
 #   make check   — ruff → mypy → contract analyzer → tier-1 tests
+#   make e2e     — BENCHMARK.json's harness, quick: seven workloads,
+#                  every end-to-end metric by name, answers checked (~1 min)
+#   make e2e-compare A=parent.json B=change.json
+#                — the pipeline's gate over two `run.py --out` files:
+#                  per workload × metric medians, bound, verdict
 #
 # ruff/mypy are optional locally (install with `pip install -e .[lint]`);
 # when absent those steps are skipped with a notice so the contract
@@ -9,7 +14,7 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint type analyze witness test bench
+.PHONY: check lint type analyze witness test bench e2e e2e-compare
 
 check: lint type analyze test
 	@echo "check: all gates passed"
@@ -45,3 +50,10 @@ test:
 #       benchmarks/bench_fig6_web.py --benchmark-disable -q
 bench:
 	$(PY) -m pytest benchmarks -q
+
+e2e:
+	$(PY) benchmarks/e2e/run.py --quick
+
+e2e-compare:
+	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make e2e-compare A=parent.json B=change.json"; exit 2; }
+	$(PY) benchmarks/e2e/run.py --compare $(A) $(B)

@@ -182,8 +182,11 @@ def codec_capabilities(name: str) -> frozenset[Capability]:
     :attr:`Capability.INTERSECT_COMPRESSED` /
     :attr:`Capability.UNION_COMPRESSED` evaluates same-codec AND/OR
     operators without materialising either operand (see
-    ``docs/query_engine.md``).  Raises :class:`UnknownCodecError` for
-    names outside the registry.
+    ``docs/query_engine.md``).  Bitset, Roaring and List declare them;
+    the RLE bitmaps (WAH, EWAH, PLWAH, CONCISE, SBH, BBC, VALWAH) do not
+    — their operators emit positions — and list
+    :attr:`Capability.INTERSECT_WITH_ARRAY` only.  Raises
+    :class:`UnknownCodecError` for names outside the registry.
     """
     return get_codec(name).capabilities()
 

@@ -2,12 +2,13 @@
 
 A concrete codec chooses a group size and a wire format by implementing
 ``_encode`` (RunStream → payload) and ``_decode`` (payload → RunStream).
-Compression, decompression, and the compressed-form AND/OR then come for
-free from :mod:`repro.bitmaps.rle_ops`.
+Compression, decompression, the AND/OR over the compressed form and the
+bitmap-vs-list probe then come for free from :mod:`repro.bitmaps.rle_ops`.
 
 Per the paper's methodology (Section 4.3), the result of ``intersect`` and
 ``union`` is a plain uncompressed integer array, and no bitmap codec builds
-skip pointers.
+skip pointers.  ``_encode`` runs in ``compress`` only: no query-time
+operation serialises its result back to the wire format.
 """
 
 from __future__ import annotations
@@ -21,12 +22,9 @@ from repro.bitmaps.rle_ops import (
     RunStream,
     groups_from_positions,
     runstream_and,
-    runstream_and_stream,
     runstream_andnot,
-    runstream_cardinality,
     runstream_from_groups,
     runstream_or,
-    runstream_or_stream,
     runstream_positions,
     runstream_probe,
     runstream_xor,
@@ -42,11 +40,7 @@ class RLEBitmapCodec(IntegerSetCodec):
     group_bits: ClassVar[int]
 
     CAPABILITIES: ClassVar[frozenset[Capability]] = frozenset(
-        {
-            Capability.INTERSECT_COMPRESSED,
-            Capability.UNION_COMPRESSED,
-            Capability.INTERSECT_WITH_ARRAY,
-        }
+        {Capability.INTERSECT_WITH_ARRAY}
     )
 
     # ------------------------------------------------------------------
@@ -91,33 +85,6 @@ class RLEBitmapCodec(IntegerSetCodec):
 
     def union(self, a: CompressedIntegerSet, b: CompressedIntegerSet) -> np.ndarray:
         return runstream_or(self._decode(a.payload), self._decode(b.payload))
-
-    def intersect_compressed(
-        self, a: CompressedIntegerSet, b: CompressedIntegerSet
-    ) -> CompressedIntegerSet:
-        """Run-word AND without bit expansion: run stream in, run stream
-        out, re-encoded on this codec's wire format.  The intermediate is
-        at most as long (in runs) as the operands, so chained ANDs never
-        pay the position-materialisation cost."""
-        rs = runstream_and_stream(self._decode(a.payload), self._decode(b.payload))
-        return self._wrap_stream(rs, min(a.universe, b.universe))
-
-    def union_compressed(
-        self, a: CompressedIntegerSet, b: CompressedIntegerSet
-    ) -> CompressedIntegerSet:
-        """Run-word OR without bit expansion (see :meth:`intersect_compressed`)."""
-        rs = runstream_or_stream(self._decode(a.payload), self._decode(b.payload))
-        return self._wrap_stream(rs, max(a.universe, b.universe))
-
-    def _wrap_stream(self, rs: RunStream, universe: int) -> CompressedIntegerSet:
-        payload = self._encode(rs)
-        return CompressedIntegerSet(
-            codec_name=self.name,
-            payload=payload,
-            n=runstream_cardinality(rs),
-            universe=universe,
-            size_bytes=self._payload_bytes(payload),
-        )
 
     def difference(
         self, a: CompressedIntegerSet, b: CompressedIntegerSet

@@ -11,13 +11,16 @@ operations the paper performs *directly on the compressed form*:
 * :func:`runstream_and` — intersection without decompression,
 * :func:`runstream_or` — union without decompression.
 
-The AND/OR engines come in two output shapes: ``runstream_and`` /
-``runstream_or`` materialise sorted positions (the paper's measured
-operation), while :func:`runstream_and_stream` / :func:`runstream_or_stream`
-stay in the run-length domain — run stream in, run stream out — so a query
-plan can chain several logical ops and pay the bit-expansion cost exactly
-once, on the final (smallest) result.  That is the compressed-domain
-execution mode behind ``Capability.INTERSECT_COMPRESSED``.
+The AND/OR engines have one output shape: sorted positions, the paper's
+measured operation (Section 4.3: compressed operands in, uncompressed
+result out).  There is no run-stream-out variant: chaining one would mean
+re-serialising each result into the codec's wire format for the next
+operator to parse again, which on literal-heavy operands (short runs —
+every served corpus and the paper's SSB/TPCH lists) costs more than
+emitting positions, so the family declares no
+``Capability.INTERSECT_COMPRESSED`` / ``UNION_COMPRESSED``.  The price is
+paid on fill-dominated operands, where a run-stream result is O(runs) and
+positions are O(n); ``docs/query_engine.md`` tabulates it.
 
 The AND/OR engines walk runs the way the paper describes for WAH
 (Section 2.1): each bitmap keeps an "active" run; fills are consumed in
@@ -476,132 +479,6 @@ def runstream_xor(a: RunStream, b: RunStream) -> np.ndarray:
     )
 
 
-def runstream_and_stream(a: RunStream, b: RunStream) -> RunStream:
-    """Intersect two run streams, producing a run stream (no expansion).
-
-    The same segment walk as :func:`runstream_and`, but instead of
-    expanding combined words to bit positions the result is reassembled
-    as runs: fill-only segments become single runs, combined literal
-    words are re-classified (all-0 → FILL0, all-1 → FILL1) so the output
-    keeps maximal runs and downstream ops get the fill fast paths.
-    """
-    _check_compatible(a, b)
-    gb = a.group_bits
-    n_common = min(_total_groups(a), _total_groups(b))
-    if n_common == 0:
-        return _empty_stream(gb)
-    seg = _align(a, b, n_common)
-    fill1 = (seg.ka == FILL1) & (seg.kb == FILL1)
-    both_lit = (seg.ka == LITERAL) & (seg.kb == LITERAL)
-    a_lit = (seg.ka == LITERAL) & (seg.kb == FILL1)
-    b_lit = (seg.ka == FILL1) & (seg.kb == LITERAL)
-    fill0 = ~(fill1 | both_lit | a_lit | b_lit)
-
-    lit_specs: list[tuple[np.ndarray, np.ndarray]] = []
-    if both_lit.any():
-        wa = seg.a.literals[gather_ranges(seg.lit_at_a[both_lit], seg.lengths[both_lit])]
-        wb = seg.b.literals[gather_ranges(seg.lit_at_b[both_lit], seg.lengths[both_lit])]
-        lit_specs.append((both_lit, wa & wb))
-    if a_lit.any():
-        lit_specs.append(
-            (a_lit, seg.a.literals[gather_ranges(seg.lit_at_a[a_lit], seg.lengths[a_lit])])
-        )
-    if b_lit.any():
-        lit_specs.append(
-            (b_lit, seg.b.literals[gather_ranges(seg.lit_at_b[b_lit], seg.lengths[b_lit])])
-        )
-    return _assemble_stream(gb, seg, fill0, fill1, lit_specs)
-
-
-def runstream_or_stream(a: RunStream, b: RunStream) -> RunStream:
-    """Union of two run streams, producing a run stream (no expansion)."""
-    _check_compatible(a, b)
-    gb = a.group_bits
-    n_total = max(_total_groups(a), _total_groups(b))
-    if n_total == 0:
-        return _empty_stream(gb)
-    seg = _align(a, b, n_total)
-    fill1 = (seg.ka == FILL1) | (seg.kb == FILL1)
-    both_lit = (seg.ka == LITERAL) & (seg.kb == LITERAL)
-    a_lit = (seg.ka == LITERAL) & (seg.kb == FILL0)
-    b_lit = (seg.ka == FILL0) & (seg.kb == LITERAL)
-    fill0 = (seg.ka == FILL0) & (seg.kb == FILL0)
-
-    lit_specs: list[tuple[np.ndarray, np.ndarray]] = []
-    if both_lit.any():
-        wa = seg.a.literals[gather_ranges(seg.lit_at_a[both_lit], seg.lengths[both_lit])]
-        wb = seg.b.literals[gather_ranges(seg.lit_at_b[both_lit], seg.lengths[both_lit])]
-        lit_specs.append((both_lit, wa | wb))
-    if a_lit.any():
-        lit_specs.append(
-            (a_lit, seg.a.literals[gather_ranges(seg.lit_at_a[a_lit], seg.lengths[a_lit])])
-        )
-    if b_lit.any():
-        lit_specs.append(
-            (b_lit, seg.b.literals[gather_ranges(seg.lit_at_b[b_lit], seg.lengths[b_lit])])
-        )
-    return _assemble_stream(gb, seg, fill0, fill1, lit_specs)
-
-
-def _empty_stream(gb: int) -> RunStream:
-    return RunStream(
-        gb,
-        np.empty(0, dtype=np.int8),
-        np.empty(0, dtype=np.int64),
-        np.empty(0, dtype=np.uint64),
-    )
-
-
-def _assemble_stream(
-    gb: int,
-    seg: _Segments,
-    fill0: np.ndarray,
-    fill1: np.ndarray,
-    lit_specs: list[tuple[np.ndarray, np.ndarray]],
-) -> RunStream:
-    """Reassemble per-segment AND/OR output into one merged run stream.
-
-    Fill segments contribute one unit spanning the whole segment; literal
-    segments contribute one unit per combined word, re-classified so
-    all-0 / all-1 words rejoin neighbouring fills.  Units are interleaved
-    back into group order (segments are disjoint, so a stable sort on
-    start index restores the stream) and handed to
-    :func:`build_runstream` for run merging.
-    """
-    full = np.uint64((1 << gb) - 1)
-    starts_parts: list[np.ndarray] = []
-    kinds_parts: list[np.ndarray] = []
-    counts_parts: list[np.ndarray] = []
-    words_parts: list[np.ndarray] = []
-    for mask, kind in ((fill0, FILL0), (fill1, FILL1)):
-        if mask.any():
-            n = int(mask.sum())
-            starts_parts.append(seg.starts[mask])
-            kinds_parts.append(np.full(n, kind, dtype=np.int8))
-            counts_parts.append(seg.lengths[mask])
-            words_parts.append(np.zeros(n, dtype=np.uint64))
-    for mask, words in lit_specs:
-        if not words.size:
-            continue
-        kinds = np.full(words.size, LITERAL, dtype=np.int8)
-        kinds[words == 0] = FILL0
-        kinds[words == full] = FILL1
-        starts_parts.append(gather_ranges(seg.starts[mask], seg.lengths[mask]))
-        kinds_parts.append(kinds)
-        counts_parts.append(np.ones(words.size, dtype=np.int64))
-        words_parts.append(words)
-    if not starts_parts:
-        return _empty_stream(gb)
-    starts = np.concatenate(starts_parts)
-    order = np.argsort(starts, kind="stable")
-    return build_runstream(
-        gb,
-        np.concatenate(kinds_parts)[order],
-        np.concatenate(counts_parts)[order],
-        np.concatenate(words_parts)[order],
-    )
-
-
 def runstream_probe(rs: RunStream, values: np.ndarray) -> np.ndarray:
     """Bitmap-vs-list intersection on the run stream (Appendix B.1's
     second input combination): each sorted candidate is located in the
@@ -629,16 +506,6 @@ def runstream_probe(rs: RunStream, values: np.ndarray) -> np.ndarray:
         bit = (word >> (values[lit_mask] % gb).astype(np.uint64)) & np.uint64(1)
         keep[lit_mask] = bit.astype(bool)
     return values[keep]
-
-
-def runstream_cardinality(rs: RunStream) -> int:
-    """Number of set bits a stream represents, without expanding it."""
-    card = 0
-    if rs.counts.size:
-        card += int(rs.counts[rs.kinds == FILL1].sum()) * rs.group_bits
-    if rs.literals.size:
-        card += int(np.bitwise_count(rs.literals).sum())
-    return card
 
 
 def _total_groups(rs: RunStream) -> int:

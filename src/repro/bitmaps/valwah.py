@@ -34,11 +34,8 @@ from repro.bitmaps.rle_ops import (
     groups_from_positions,
     resegment,
     runstream_and,
-    runstream_and_stream,
-    runstream_cardinality,
     runstream_from_groups,
     runstream_or,
-    runstream_or_stream,
     runstream_positions,
     runstream_probe,
 )
@@ -66,13 +63,7 @@ class VALWAHCodec(IntegerSetCodec):
     family = "bitmap"
     year = 2014
 
-    CAPABILITIES = frozenset(
-        {
-            Capability.INTERSECT_COMPRESSED,
-            Capability.UNION_COMPRESSED,
-            Capability.INTERSECT_WITH_ARRAY,
-        }
-    )
+    CAPABILITIES = frozenset({Capability.INTERSECT_WITH_ARRAY})
 
     def __init__(self, candidate_segments: tuple[int, ...] = DEFAULT_SEGMENTS):
         self.candidate_segments = tuple(sorted(candidate_segments))
@@ -121,27 +112,6 @@ class VALWAHCodec(IntegerSetCodec):
         ra, rb = self._aligned_streams(a, b)
         return runstream_or(ra, rb)
 
-    def intersect_compressed(
-        self, a: CompressedIntegerSet, b: CompressedIntegerSet
-    ) -> CompressedIntegerSet:
-        """Segment-aligned AND in the run domain.
-
-        The realignment lands on ``min(s_a, s_b)``, which is always
-        itself a candidate segment length (candidates are pairwise
-        divisible), so the result re-encodes directly at that
-        granularity — the alignment cost is paid but never compounded.
-        """
-        ra, rb = self._aligned_streams(a, b)
-        rs = runstream_and_stream(ra, rb)
-        return self._wrap_stream(rs, min(a.universe, b.universe))
-
-    def union_compressed(
-        self, a: CompressedIntegerSet, b: CompressedIntegerSet
-    ) -> CompressedIntegerSet:
-        ra, rb = self._aligned_streams(a, b)
-        rs = runstream_or_stream(ra, rb)
-        return self._wrap_stream(rs, max(a.universe, b.universe))
-
     def intersect_with_array(
         self, cs: CompressedIntegerSet, values: np.ndarray
     ) -> np.ndarray:
@@ -150,16 +120,6 @@ class VALWAHCodec(IntegerSetCodec):
         if values.size == 0 or cs.n == 0:
             return np.empty(0, dtype=np.int64)
         return runstream_probe(_decode_units(cs.payload), values)
-
-    def _wrap_stream(self, rs: RunStream, universe: int) -> CompressedIntegerSet:
-        payload = _encode_units(rs, rs.group_bits)
-        return CompressedIntegerSet(
-            self.name,
-            payload,
-            runstream_cardinality(rs),
-            universe,
-            _payload_bytes(payload),
-        )
 
     def size_in_bytes(self, cs: CompressedIntegerSet) -> int:
         return cs.size_bytes

@@ -45,12 +45,17 @@ class Capability(enum.Enum):
     marker: the plan compiler routes queries through the corresponding
     method only when the capability is declared, so a codec that declares
     one must implement it better than the decode-everything fallback.
+    A fold must not re-serialise its result: Roaring's containers and
+    Bitset's words are their operating form, an RLE wire format is not,
+    which is why the RLE bitmaps declare no ``*_COMPRESSED`` capability
+    (their fold lost on literal-heavy operands and won only on long
+    fills; ``docs/query_engine.md`` has both sets of numbers).
 
     Members:
         INTERSECT_COMPRESSED: :meth:`IntegerSetCodec.intersect_compressed`
             ANDs two compressed sets into a new compressed set without
-            materialising either operand (Roaring container AND, RLE
-            run-word AND).
+            materialising either operand (Roaring container AND, Bitset
+            word AND).
         UNION_COMPRESSED: :meth:`IntegerSetCodec.union_compressed`, the
             OR counterpart.
         INTERSECT_WITH_ARRAY: :meth:`IntegerSetCodec.intersect_with_array`

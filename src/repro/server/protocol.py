@@ -369,9 +369,7 @@ def response_from_result(
     if strict and status not in ("ok", "failed"):
         detail["strict_violation"] = status
         status = "failed"
-    values = (
-        [int(v) for v in result.values] if result.values is not None else None
-    )
+    values = result.values.tolist() if result.values is not None else None
     return QueryResponse(
         status=status,
         values=values,

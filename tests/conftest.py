@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import all_codec_names, bitmap_codec_names, get_codec, invlist_codec_names
+from repro.ops import And, Or
 
 
 @pytest.fixture
@@ -47,6 +48,27 @@ def sorted_unique(rng: np.random.Generator, n: int, domain: int) -> np.ndarray:
     return np.sort(rng.choice(domain, size=min(n, domain), replace=False)).astype(
         np.int64
     )
+
+
+def _union(*arrays: np.ndarray) -> np.ndarray:
+    return np.unique(np.concatenate(arrays)).astype(np.int64)
+
+
+#: The tree shapes a served query compiles to, over operands a, b, c:
+#: ``label -> (tree over three leaves, numpy oracle over three arrays)``.
+QUERY_TREES = {
+    "Or(a,b)": (lambda a, b, c: Or(a, b), lambda a, b, c: _union(a, b)),
+    "Or(a,b,c)": (lambda a, b, c: Or(a, b, c), _union),
+    "And(a,b)": (lambda a, b, c: And(a, b), lambda a, b, c: np.intersect1d(a, b)),
+    "And(Or(a,b),c)": (
+        lambda a, b, c: And(Or(a, b), c),
+        lambda a, b, c: np.intersect1d(_union(a, b), c),
+    ),
+    "Or(And(a,b),c)": (
+        lambda a, b, c: Or(And(a, b), c),
+        lambda a, b, c: _union(np.intersect1d(a, b), c),
+    ),
+}
 
 
 def _raw_request(port, method, path, body=b"", headers=()):

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
-from repro import get_codec
+from repro import all_codec_names, bitmap_codec_names, get_codec
+from repro.core.base import Capability
 from repro.ops import And, Leaf, Or, evaluate
+from repro.store import DecodeCache
 
-from tests.conftest import sorted_unique
+from tests.conftest import QUERY_TREES, sorted_unique
 
 
 @pytest.fixture
@@ -108,3 +110,39 @@ def test_and_order_breaks_cardinality_ties_by_physical_size():
     cheap, bulky = Leaf(dense), Leaf(sparse)
     assert and_order((bulky, cheap)) == [cheap, bulky]
     assert and_order((cheap, bulky)) == [cheap, bulky]
+
+
+@pytest.mark.parametrize("name", bitmap_codec_names())
+def test_no_encoder_runs_on_the_read_path(name, lists, monkeypatch):
+    """A query may parse wire bytes but never produce them: once the
+    operands are compressed, every encoder of the codec is made to raise
+    and all five trees must still evaluate, uncached and through a decode
+    cache that goes from cold to warm across them."""
+    codec = get_codec(name)
+    arrays = lists[1:4]
+    sets = compressed(name, arrays)
+
+    def encoder_called(*args, **kwargs):
+        raise AssertionError(f"{name} serialised a result while answering a query")
+
+    monkeypatch.setattr(type(codec), "compress", encoder_called)
+    if hasattr(codec, "_encode"):
+        monkeypatch.setattr(type(codec), "_encode", encoder_called)
+    monkeypatch.setattr("repro.bitmaps.valwah._encode_units", encoder_called)
+
+    leaves = [Leaf(cs, ("s0", term, name)) for term, cs in zip("abc", sets)]
+    for cache in (None, DecodeCache()):
+        for label, (build, oracle) in QUERY_TREES.items():
+            got = evaluate(build(*leaves), cache=cache)
+            assert np.array_equal(got, oracle(*arrays)), (label, cache)
+
+
+def test_compressed_fold_is_declared_only_where_it_is_free():
+    """Re-declaring a fold is a deliberate edit of this line, with the
+    numbers showing it beats the codec's ``union`` / probe path."""
+    declaring = {
+        name
+        for name in all_codec_names()
+        if Capability.INTERSECT_COMPRESSED in get_codec(name).capabilities()
+    }
+    assert declaring == {"Bitset", "Roaring", "List"}

@@ -1,5 +1,8 @@
 """Wire types: request/response parsing, strict escalation, status maps."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -121,6 +124,36 @@ def test_failed_result_maps_to_500():
     assert response.status == "failed"
     assert response.values is None and response.n_results is None
     assert HTTP_STATUS_FOR[response.status] == 500
+
+
+def _readonly(values) -> np.ndarray:
+    arr = np.array(values, dtype=np.int64)
+    arr.setflags(write=False)  # what the decode cache hands out
+    return arr
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        None,
+        np.empty(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.array([0, 2**40, 2**40 + 1, 2**62], dtype=np.int64),
+        _readonly([1, 5, 9]),
+    ],
+    ids=["none", "empty", "one", "ge-2^40", "read-only"],
+)
+def test_response_values_are_python_ints_and_same_json(values):
+    """``tolist()`` must produce what the per-element ``int(v)`` loop did:
+    a list of Python ints, so the JSON bytes on the wire do not move."""
+    error = "ValueError: nope" if values is None else None
+    response = response_from_result(_result(values=values, error=error))
+    reference = None if values is None else [int(v) for v in values]
+    assert response.values == reference
+    if reference is not None:
+        assert all(type(v) is int for v in response.values)
+    expected = dataclasses.replace(response, values=reference)
+    assert json.dumps(response.to_body()) == json.dumps(expected.to_body())
 
 
 def test_abandoned_response_shape():

@@ -18,11 +18,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import all_codec_names, get_codec
+from repro import all_codec_names, bitmap_codec_names, get_codec
 from repro.core.base import Capability
 from repro.datagen import markov_list, uniform_list, zipf_list
-from repro.ops import And, Leaf, Or, evaluate
+from repro.ops import And, ExecStats, Leaf, Or, evaluate
 from repro.store import DecodeCache
+
+from tests.conftest import QUERY_TREES
 
 DOMAIN = 1 << 16
 SEED = 20170514
@@ -277,6 +279,53 @@ _KERNEL_CODECS = [
     if Capability.INTERSECT_COMPRESSED in get_codec(name).capabilities()
 ]
 
+#: The run-length bitmaps.  Their operators emit positions (Section 4.3)
+#: and they declare no ``*_COMPRESSED`` capability, so ``compressed=True``
+#: and ``compressed=False`` must be the same plan for them: equal arrays
+#: *and* equal operator counters.
+_RLE_CODECS = [n for n in bitmap_codec_names() if n not in _KERNEL_CODECS]
+
+
+def _assert_trees_match_reference(codec_name, arrays):
+    """The five ``QUERY_TREES`` over *arrays*, compressed-domain execution
+    on and off, against the numpy oracle."""
+    codec = get_codec(codec_name)
+    leaves = [Leaf(codec.compress(arr, universe=DOMAIN)) for arr in arrays]
+    for label, (build, oracle) in QUERY_TREES.items():
+        want = oracle(*arrays)
+        counters = {}
+        for compressed in (True, False):
+            counters[compressed] = ExecStats()
+            got = evaluate(
+                build(*leaves), compressed=compressed, stats=counters[compressed]
+            )
+            assert np.array_equal(got, want), (label, compressed)
+        if codec_name in _RLE_CODECS:
+            assert counters[True] == counters[False], label
+
+
+def _longest_run(arr: np.ndarray) -> int:
+    edges = np.flatnonzero(np.concatenate(([True], np.diff(arr) != 1, [True])))
+    return int(np.diff(edges).max())
+
+
+@pytest.mark.parametrize("rle_codec", _RLE_CODECS)
+def test_rle_trees_on_clustered_lists(rle_codec):
+    """The ``runs`` corpus shape (markov, mean run 8) plus one list whose
+    runs are long enough to be 1-fills at every group size up to 32 bits:
+    the run-stream OR and probe these codecs answer with, on fills as
+    well as literals."""
+    rng = np.random.default_rng(SEED + 7)
+    arrays = [
+        markov_list(6_000, DOMAIN, clustering=8.0, rng=rng),
+        markov_list(12_000, DOMAIN, clustering=96.0, rng=rng),
+        markov_list(3_000, DOMAIN, clustering=8.0, rng=rng),
+    ]
+    assert _longest_run(arrays[1]) >= 64  # spans a whole aligned group
+    _assert_trees_match_reference(rle_codec, arrays)
+    _assert_trees_match_reference(rle_codec, arrays[::-1])
+
+
 #: Degenerate operand shapes one-shot benchmarks never generate: empty,
 #: singleton, a dense single-container run, and half-domain lists (pairs
 #: drawn from opposite halves are fully disjoint).
@@ -295,17 +344,24 @@ _operand = st.one_of(
 )
 
 
-@pytest.mark.parametrize("kernel_codec", _KERNEL_CODECS)
+@pytest.mark.parametrize("kernel_codec", sorted(set(_KERNEL_CODECS + _RLE_CODECS)))
 @settings(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-@given(left=_operand, right=_operand)
+@given(left=_operand, right=_operand, third=_operand)
 def test_compressed_kernels_survive_degenerate_operands(
-    kernel_codec, left, right
+    kernel_codec, left, right, third
 ):
+    """Whatever ``compressed=True`` runs for the codec — a declared
+    compressed fold, or the RLE family's run-stream OR and probe — on
+    operands no benchmark generates."""
     codec = get_codec(kernel_codec)
     a = np.array(left, dtype=np.int64)
     b = np.array(right, dtype=np.int64)
+    c = np.array(third, dtype=np.int64)
+    _assert_trees_match_reference(kernel_codec, [a, b, c])
+    if kernel_codec not in _KERNEL_CODECS:
+        return
     ca = codec.compress(a, universe=DOMAIN)
     cb = codec.compress(b, universe=DOMAIN)
     got_and = codec.intersect_compressed(ca, cb)
