@@ -8,8 +8,10 @@ The pieces, bottom-up:
   hedged reads, replica failover, admission-aware routing, follower
   replication with bounded staleness.  It is a
   :class:`repro.server.http.JsonHttpServer` like the server it fronts,
-  and fans out over that module's connection-per-request
-  ``request_json`` (so hedged losers cancel by closing their socket);
+  and fans out over that module's per-backend keep-alive pool
+  (:class:`~repro.server.http.BackendConnections`: a connection is
+  reused only after a complete response, so hedged losers still cancel
+  by closing their socket);
 * :mod:`repro.cluster.client` — :class:`RouterClient`, a shard-map-
   pinning client that handles the 410-refetch dance.
 

@@ -11,8 +11,9 @@ adds the distributed-only instruments:
   high (primary already doomed by the time the hedge fires).
 * **per-backend health** — request/failure/shed counts, a rolling p95
   (:class:`~repro.store.metrics.RollingQuantile`) that the hedge delay
-  derives from, and the cooldown state admission-aware routing sets
-  when a backend sheds.
+  derives from, the cooldown state admission-aware routing sets
+  when a backend sheds, and the connection pool's
+  opened / reused / discarded counts.
 * **replication lag** — batches shipped to followers and the current
   worst-case staleness bound surfaced to readers as
   ``max_staleness_ms``.
@@ -40,6 +41,12 @@ class BackendStats:
         #: Event-loop time before which this backend is deprioritised
         #: (set when it sheds with 503; see router._record_shed).
         self.cooldown_until = 0.0
+        #: Written by this backend's connection pool
+        #: (:class:`~repro.server.http.BackendConnections`): every exchange
+        #: dials or reuses; ``opened - discarded`` connections are alive.
+        self.connections_opened = 0
+        self.connections_reused = 0
+        self.connections_discarded = 0
 
     def record_success(self, latency_ms: float) -> None:
         self.requests += 1
@@ -67,6 +74,9 @@ class BackendStats:
             "sheds": self.sheds,
             "p95_ms": round(self.latency.quantile(0.95), 4),
             "in_cooldown": self.in_cooldown(now),
+            "connections_opened": self.connections_opened,
+            "connections_reused": self.connections_reused,
+            "connections_discarded": self.connections_discarded,
         }
 
 

@@ -45,14 +45,14 @@ from collections import deque
 
 from repro.api.errors import BackendUnavailableError, ProtocolError, ShardMapError
 from repro.cluster.metrics import RouterMetrics
-from repro.cluster.shardmap import ShardMap
+from repro.cluster.shardmap import Backend, ShardMap
 from repro.server.client import full_jitter_backoff_s
 from repro.server.http import (
+    BackendConnections,
     HttpExchangeError,
     JsonHttpServer,
     Reply,
     json_body,
-    request_json,
 )
 from repro.server.protocol import (
     DEADLINE_HEADER,
@@ -166,6 +166,9 @@ class ClusterRouter(JsonHttpServer):
             tuple(b.backend_id for b in shardmap.backends)
         )
         self.in_flight = 0
+        # Keep-alive connections per backend *address*, made on first use:
+        # a republished map that moves a backend gets a fresh pool.
+        self._pools: dict[Backend, BackendConnections] = {}
         # Follower replication: one (FIFO, wake-up event) pair + drain
         # task per backend.  Entries: (enqueue_loop_time,
         # ingest_body_dict); a batch stays at the head until shipped or
@@ -189,6 +192,9 @@ class ClusterRouter(JsonHttpServer):
             task.cancel()
         await asyncio.gather(*self._ship_tasks, return_exceptions=True)
         self._ship_tasks.clear()
+        for pool in self._pools.values():
+            pool.close()
+        self._pools.clear()
 
     async def _backend_json(
         self,
@@ -206,10 +212,14 @@ class ClusterRouter(JsonHttpServer):
         off; HTTP error statuses are returned for the caller to read.
         """
         backend = self.map.backend(backend_id)
+        pool = self._pools.get(backend)
+        if pool is None:
+            pool = self._pools[backend] = BackendConnections(
+                backend.host, backend.port, self.metrics.backend(backend_id)
+            )
         try:
-            return await request_json(
-                backend.host, backend.port, method, path, body,
-                headers=headers, timeout_s=self.timeout_s,
+            return await pool.exchange(
+                method, path, body, headers=headers, timeout_s=self.timeout_s
             )
         except HttpExchangeError as exc:
             raise BackendUnavailableError(backend_id, str(exc)) from exc
@@ -456,7 +466,7 @@ class ClusterRouter(JsonHttpServer):
         failed_shards: list[str] = []
         failed_backends: dict[str, list[str]] = {}
         degraded_terms: list[str] = []
-        values: set[int] = set()
+        runs: list[int] = []  # each group's sorted values, end to end
         shards_queried = 0
         severity = 0  # max over usable answers: ok=0 partial=1 timed_out=2
         first_error = None
@@ -464,7 +474,7 @@ class ClusterRouter(JsonHttpServer):
             r = a.response
             severity = max(severity, min(_SEVERITY.get(r.status, 2), 2))
             if r.values is not None:
-                values.update(r.values)
+                runs.extend(r.values)
             shards_queried += r.shards_queried
             failed_shards.extend(r.failed_shards)
             degraded_terms.extend(r.degraded_terms)
@@ -491,7 +501,16 @@ class ClusterRouter(JsonHttpServer):
             out_values = None
         else:
             status = ("ok", "partial", "timed_out")[severity]
-            out_values = sorted(values)
+            # Union of sorted runs: Timsort merges them in linear time
+            # (and still sorts a misbehaving backend's unsorted list),
+            # then equal neighbours — groups do overlap — collapse.
+            runs.sort()
+            out_values = []
+            last = object()  # equal to no value
+            for value in runs:
+                if value != last:
+                    out_values.append(value)
+                    last = value
 
         detail: dict = {
             "replicas": {"answered": len(answered), "of": len(answers)},

@@ -12,13 +12,19 @@ mapping and the caps.  Three pieces:
   dispatch over a ``{(method, path): handler}`` table;
   :class:`~repro.server.app.StoreServer` and
   :class:`~repro.cluster.router.ClusterRouter` subclass it;
-* :func:`request_json` — the one-shot async exchange the router fans
-  out over.  Connection-per-request on purpose: hedged reads race two
-  in-flight requests and cancel the loser, and cancelling a request on a
-  *shared* keep-alive connection would poison it for the next caller
-  (the abandoned response bytes are still coming).  A fresh connection
-  makes cancellation exactly "close the socket" — the one operation that
-  is always safe mid-flight.
+* :class:`BackendConnections` — the keep-alive connection pool the
+  router keeps per backend and fans out over.  A connection goes back
+  to the pool **only** after a complete, well-framed HTTP/1.1 response
+  that does not say ``Connection: close`` has been read off it; every
+  other ending — a cancelled hedge loser, a timeout, a reset, a garbled
+  status line, an oversized or short body — *discards* it.  Hedged reads
+  race two in-flight requests and cancel the loser, and the abandoned
+  response bytes of a cancelled request are still coming: closing that
+  socket is the one operation that is always safe mid-flight, so
+  cancelling stays exactly "close the socket" and no caller can ever
+  read another caller's answer.  A *reused* connection that dies before
+  any response byte (the backend restarted or dropped it while idle) is
+  replayed once on a fresh dial; nothing else is ever retried here.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ from repro.server.protocol import MAX_BODY_BYTES, ProtocolError
 MAX_RESPONSE_BYTES = 64 << 20
 #: Header lines accepted per message.
 MAX_HEADERS = 100
+#: Idle keep-alive connections a :class:`BackendConnections` pool holds;
+#: one returned beyond this is closed instead.
+MAX_IDLE_CONNECTIONS = 8
 
 _log = logging.getLogger(__name__)
 
@@ -50,8 +59,8 @@ class BadHttpRequest(Exception):
 
 
 class HttpExchangeError(OSError):
-    """:func:`request_json` got no usable answer (refused, reset, timed
-    out, garbled or non-JSON response)."""
+    """:meth:`BackendConnections.exchange` got no usable answer (refused,
+    reset, timed out, garbled or non-JSON response)."""
 
 
 class Reply(NamedTuple):
@@ -73,40 +82,41 @@ Handler = Callable[[dict[str, str], bytes], Awaitable[Reply]]
 # ----------------------------------------------------------------------
 # Wire codec
 # ----------------------------------------------------------------------
-async def _read_message(
-    reader: asyncio.StreamReader, max_body: int
-) -> tuple[str, dict[str, str], bytes] | None:
-    """Read one message: ``(start_line, headers, body)``; ``None`` on clean EOF.
-
-    Request or response alike; one without ``Content-Length`` has no body.
-    """
+async def _read_line(reader: asyncio.StreamReader) -> bytes:
+    """One start or header line; ``b""`` on EOF."""
     try:
-        start = await reader.readline()
-        if not start:
-            return None
-        headers: dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n"):
-                break
-            if not raw:
-                raise asyncio.IncompleteReadError(partial=raw, expected=2)
-            if len(headers) > MAX_HEADERS:
-                raise BadHttpRequest("too many headers")
-            name, sep, value = raw.decode("latin-1").partition(":")
-            if not sep:
-                raise BadHttpRequest(f"malformed header: {raw[:80]!r}")
-            headers[name.strip().lower()] = value.strip()
+        return await reader.readline()
     except ValueError as exc:
         # asyncio's readline: a line longer than the stream's 64 KiB limit.
         raise BadHttpRequest(f"start line or header too long: {exc}") from None
+
+
+async def _read_headers_and_body(
+    reader: asyncio.StreamReader, max_body: int
+) -> tuple[dict[str, str], bytes]:
+    """The rest of a message whose start line has been read.
+
+    Request or response alike; one without ``Content-Length`` has no body.
+    """
+    headers: dict[str, str] = {}
+    while True:
+        raw = await _read_line(reader)
+        if raw in (b"\r\n", b"\n"):
+            break
+        if not raw:
+            raise asyncio.IncompleteReadError(partial=raw, expected=2)
+        if len(headers) > MAX_HEADERS:
+            raise BadHttpRequest("too many headers")
+        name, sep, value = raw.decode("latin-1").partition(":")
+        if not sep:
+            raise BadHttpRequest(f"malformed header: {raw[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
     length_text = headers.get("content-length", "0")
     if not length_text.isdecimal():
         raise BadHttpRequest(f"bad Content-Length: {length_text!r}")
     if int(length_text) > max_body:
         raise BadHttpRequest(f"body too large ({length_text} bytes)")
-    body = await reader.readexactly(int(length_text))
-    return start.decode("latin-1"), headers, body
+    return headers, await reader.readexactly(int(length_text))
 
 
 async def read_http_request(
@@ -117,10 +127,10 @@ async def read_http_request(
     Returns ``None`` on clean EOF between requests; raises
     :class:`BadHttpRequest` on malformed or oversized input.
     """
-    message = await _read_message(reader, MAX_BODY_BYTES)
-    if message is None:
+    start = (await _read_line(reader)).decode("latin-1")
+    if not start:
         return None
-    start, headers, body = message
+    headers, body = await _read_headers_and_body(reader, MAX_BODY_BYTES)
     try:
         method, target, _version = start.split()
     except ValueError:
@@ -207,11 +217,15 @@ class JsonHttpServer:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         await self._on_stop()
         for writer in list(self._writers):
             writer.close()
+        if self._server is not None:
+            # Last: from Python 3.12.1 this waits for every accepted
+            # connection to be gone, and an idle keep-alive peer never
+            # leaves by itself.
+            await self._server.wait_closed()
+            self._server = None
 
     # ------------------------------------------------------------------
     # Connection loop
@@ -355,74 +369,139 @@ def run_until_interrupted(server: JsonHttpServer, banner: dict) -> None:
 # ----------------------------------------------------------------------
 # Client side
 # ----------------------------------------------------------------------
-async def request_json(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    body: dict | None = None,
-    *,
-    headers: tuple[tuple[str, str], ...] = (),
-    timeout_s: float = 5.0,
-) -> tuple[int, dict[str, str], dict]:
-    """One HTTP exchange on a fresh connection: ``(status, headers, json)``.
+class _StaleConnection(Exception):
+    """A reused connection died before any response byte: replay on a dial."""
 
-    Raises :class:`HttpExchangeError` on any transport-level failure;
-    HTTP error *statuses* are returned, not raised — a 400 or 503 is an
-    answer from a live peer and the caller interprets it.
+
+class BackendConnections:
+    """Keep-alive client connections to one ``host:port``.
+
+    *stats* is where the pool counts its traffic: any object with
+    integer ``connections_opened`` / ``connections_reused`` /
+    ``connections_discarded`` attributes (the router passes the
+    backend's :class:`~repro.cluster.metrics.BackendStats`).  Every
+    exchange either dials or reuses; every connection that is closed
+    instead of being returned is a discard, so ``opened - discarded``
+    is the number of live connections.
+
+    Event-loop-confined, like the router that owns it.
     """
-    payload = json.dumps(body).encode("utf-8") if body is not None else b""
-    try:
-        status, resp_headers, raw = await asyncio.wait_for(
-            _exchange(host, port, method, path, payload, headers),
-            timeout=timeout_s,
-        )
-        parsed = json.loads(raw.decode("utf-8")) if raw else {}
-    except asyncio.TimeoutError:
-        raise HttpExchangeError(f"no response within {timeout_s:g}s") from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise HttpExchangeError(
-            f"non-JSON response body for {method} {path}: {exc}"
-        ) from exc
-    except (OSError, asyncio.IncompleteReadError, BadHttpRequest) as exc:
-        raise HttpExchangeError(f"{type(exc).__name__}: {exc}") from exc
-    if not isinstance(parsed, dict):
-        parsed = {"body": parsed}
-    return status, resp_headers, parsed
 
+    def __init__(self, host: str, port: int, stats) -> None:
+        self.host = host
+        self.port = port
+        self._stats = stats
+        self._idle: list[tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._closed = False
 
-async def _exchange(
-    host: str,
-    port: int,
-    method: str,
-    path: str,
-    payload: bytes,
-    extra_headers: tuple[tuple[str, str], ...],
-) -> tuple[int, dict[str, str], bytes]:
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
+    async def exchange(
+        self,
+        method: str,
+        path: str,
+        body: dict | None = None,
+        *,
+        headers: tuple[tuple[str, str], ...] = (),
+        timeout_s: float = 5.0,
+    ) -> tuple[int, dict[str, str], dict]:
+        """One HTTP exchange: ``(status, headers, json)``.
+
+        Raises :class:`HttpExchangeError` on any transport-level failure;
+        HTTP error *statuses* are returned, not raised — a 400 or 503 is an
+        answer from a live peer and the caller interprets it.  *timeout_s*
+        covers the whole call, the one replay of a stale reused connection
+        included.
+        """
+        payload = json.dumps(body).encode("utf-8") if body is not None else b""
         lines = [
             f"{method} {path} HTTP/1.1",
-            f"Host: {host}:{port}",
-            "Connection: close",
+            f"Host: {self.host}:{self.port}",
             f"Content-Length: {len(payload)}",
         ]
         if payload:
             lines.append("Content-Type: application/json")
-        lines += [f"{name}: {value}" for name, value in extra_headers]
-        writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload)
-        await writer.drain()
-        message = await _read_message(reader, MAX_RESPONSE_BYTES)
-        if message is None:
-            raise asyncio.IncompleteReadError(partial=b"", expected=1)
-        status_line, headers, body = message
-        parts = status_line.split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise BadHttpRequest(f"garbled status line {status_line[:80]!r}")
-        return int(parts[1]), headers, body
-    finally:
-        writer.close()
+        lines += [f"{name}: {value}" for name, value in headers]
+        request = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
         try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            status, resp_headers, raw = await asyncio.wait_for(
+                self._exchange(request), timeout=timeout_s
+            )
+            parsed = json.loads(raw.decode("utf-8")) if raw else {}
+        except asyncio.TimeoutError:
+            raise HttpExchangeError(f"no response within {timeout_s:g}s") from None
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise HttpExchangeError(
+                f"non-JSON response body for {method} {path}: {exc}"
+            ) from exc
+        except (OSError, asyncio.IncompleteReadError, BadHttpRequest) as exc:
+            raise HttpExchangeError(f"{type(exc).__name__}: {exc}") from exc
+        if not isinstance(parsed, dict):
+            parsed = {"body": parsed}
+        return status, resp_headers, parsed
+
+    def close(self) -> None:
+        """Close every idle connection; one still in flight is closed
+        when its exchange ends."""
+        self._closed = True
+        while self._idle:
+            self._discard(self._idle.pop()[1])
+
+    def _discard(self, writer: asyncio.StreamWriter) -> None:
+        self._stats.connections_discarded += 1
+        writer.close()
+
+    async def _exchange(self, request: bytes) -> tuple[int, dict[str, str], bytes]:
+        while self._idle:
+            reader, writer = self._idle.pop()
+            if reader.at_eof() or writer.is_closing():
+                self._discard(writer)  # the peer hung up while it idled
+                continue
+            self._stats.connections_reused += 1
+            try:
+                return await self._round_trip(reader, writer, request, reused=True)
+            except _StaleConnection:
+                break
+        reader, writer = await asyncio.open_connection(self.host, self.port)
+        self._stats.connections_opened += 1
+        return await self._round_trip(reader, writer, request, reused=False)
+
+    async def _round_trip(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        request: bytes,
+        *,
+        reused: bool,
+    ) -> tuple[int, dict[str, str], bytes]:
+        """Send *request*, read one response; pool or discard the connection."""
+        keep = False
+        try:
+            try:
+                writer.write(request)
+                await writer.drain()
+                status_line = (await _read_line(reader)).decode("latin-1")
+                if not status_line:
+                    raise ConnectionResetError("closed before any response byte")
+            except ConnectionError as exc:
+                if reused:
+                    raise _StaleConnection from exc
+                raise
+            parts = status_line.split(None, 2)
+            if len(parts) < 2 or not parts[1].isdigit():
+                raise BadHttpRequest(f"garbled status line {status_line[:80]!r}")
+            headers, body = await _read_headers_and_body(reader, MAX_RESPONSE_BYTES)
+            # Whole message read and the peer will read another: anything
+            # less (HTTP/1.0, a body not delimited by Content-Length) and
+            # the byte stream may not be at a message boundary.
+            keep = (
+                parts[0] == "HTTP/1.1"
+                and "content-length" in headers
+                and headers.get("connection", "").lower() != "close"
+            )
+            return int(parts[1]), headers, body
+        finally:
+            # Also reached by CancelledError (hedge loser, timeout):
+            # keep is still False, so the socket closes mid-flight.
+            if keep and not self._closed and len(self._idle) < MAX_IDLE_CONNECTIONS:
+                self._idle.append((reader, writer))
+            else:
+                self._discard(writer)

@@ -7,6 +7,7 @@ run as :class:`BackgroundServer` threads on loopback — killing a
 backend is just ``bg.stop()``.
 """
 
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,16 @@ from repro.server import BackgroundServer, StoreServer
 from repro.store import QueryEngine
 
 from tests.server.conftest import make_store
+
+
+def wait_until(predicate, timeout_s=8.0, interval_s=0.02):
+    """Poll *predicate* until it holds or *timeout_s* passes; its last value."""
+    deadline = time.monotonic() + timeout_s
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(interval_s)
+    return predicate()
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ mapping, the size caps and the last-resort 500 cannot drift apart.
 import http.client
 import json
 import socket
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -20,13 +21,12 @@ from tests.conftest import _raw_request
 
 @pytest.fixture(params=["server", "router"])
 def front_end(request, cluster_factory):
-    """A live front-end: ``port``, the ``app`` object, and ``counts()`` —
-    its by-outcome request counter as ``GET /metrics`` serves it."""
+    """A live front-end: ``port``, the ``app`` object, ``stop()`` (its
+    :class:`BackgroundServer`'s) and ``counts()`` — its by-outcome
+    request counter as ``GET /metrics`` serves it."""
     cluster = cluster_factory(n_backends=2, replication=2)
-    if request.param == "router":
-        port, app = cluster.port, cluster.router
-    else:
-        port, app = cluster.backend_bgs[0].port, cluster.backend_bgs[0].server
+    bg = cluster.router_bg if request.param == "router" else cluster.backend_bgs[0]
+    port, app = bg.port, bg.server
 
     def counts() -> dict:
         snapshot = json.loads(_raw_request(port, "GET", "/metrics")[2])
@@ -34,7 +34,7 @@ def front_end(request, cluster_factory):
             return snapshot["queries"]
         return snapshot["server"]["responses"]
 
-    return SimpleNamespace(port=port, app=app, counts=counts)
+    return SimpleNamespace(port=port, app=app, stop=bg.stop, counts=counts)
 
 
 def _exchange_raw(port: int, request: bytes) -> bytes:
@@ -154,3 +154,23 @@ def test_handler_exception_is_a_500_and_the_socket_survives(
     finally:
         conn.close()
     assert front_end.counts() == {"error": 1}
+
+
+# ----------------------------------------------------------------------
+# Shutdown with a keep-alive peer attached
+# ----------------------------------------------------------------------
+def test_stop_hangs_up_on_an_idle_keepalive_peer(front_end):
+    """``stop()`` must close the connections it accepted *before* it
+    waits for the listener: from Python 3.12.1 ``Server.wait_closed()``
+    returns only once they are gone, and an idle peer never leaves."""
+    with socket.create_connection(("127.0.0.1", front_end.port), timeout=10) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+        answer = b""
+        while not answer.endswith(b"}"):
+            answer += sock.recv(65536)
+        assert answer.startswith(b"HTTP/1.1 200 OK\r\n")
+        assert b"Connection: keep-alive" in answer
+        t0 = time.monotonic()
+        front_end.stop()
+        assert time.monotonic() - t0 < 2.0
+        assert sock.recv(65536) == b""  # EOF, not a timeout

@@ -10,6 +10,8 @@ from repro.api import connect
 from repro.store import QueryEngine
 from repro.store.segments import WritablePostingStore
 
+from tests.cluster.conftest import wait_until as _wait_until
+
 
 @pytest.fixture
 def writable_engines(tmp_path):
@@ -21,15 +23,6 @@ def writable_engines(tmp_path):
     yield engines
     for engine in engines:
         engine.store.close()
-
-
-def _wait_until(predicate, timeout_s=8.0, interval_s=0.02):
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval_s)
-    return predicate()
 
 
 def test_ingest_acks_on_primary_then_ships_to_follower(

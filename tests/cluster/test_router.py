@@ -8,6 +8,8 @@ import socket
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import connect
 from repro.api.errors import QueryRejectedError
@@ -18,6 +20,7 @@ from repro.server.protocol import QueryResponse
 from repro.store import QueryEngine
 from repro.store.plan import Query, Term
 
+from tests.cluster.conftest import wait_until
 from tests.server.conftest import make_store
 
 
@@ -194,6 +197,11 @@ def test_unparseable_backend_body_fails_over_like_a_dead_backend(
             # Same socket, next request: the connection survived.
             conn.request("GET", "/healthz")
             assert conn.getresponse().status == 200
+            # The peer speaks HTTP/1.0: its answer was read in full, and
+            # its connection closed instead of pooled.
+            assert all(not pool._idle for pool in router._pools.values())
+            stats = router.metrics.backend(second)
+            assert stats.connections_opened == stats.connections_discarded == 1
         finally:
             conn.close()
     assert router.metrics.backend(second).failures == 1
@@ -228,6 +236,9 @@ def test_hedge_beats_a_slow_primary(cluster_factory):
     assert response.detail.get("hedged_groups") == 1
     assert cluster.router.metrics.hedged == 1
     assert cluster.router.metrics.hedge_wins == 1
+    # The abandoned 500 ms job finishes before teardown stops its loop.
+    slow = cluster.backend_bgs[slow_idx].server
+    assert wait_until(lambda: slow.admission.pending == 0)
 
 
 def test_hedging_can_be_disabled(cluster_factory):
@@ -299,6 +310,51 @@ def test_merge_unions_values_and_keeps_ok():
     assert merged.status == "ok"
     assert merged.values == [1, 2, 3]
     assert merged.detail["replicas"] == {"answered": 2, "of": 2}
+
+
+_int_lists = st.lists(st.integers(min_value=0, max_value=60), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    groups=st.lists(
+        st.one_of(
+            st.none(),  # a usable answer that carries no values
+            _int_lists,  # arbitrary: unsorted, duplicated
+            _int_lists.map(lambda xs: sorted(set(xs))),  # what a backend sends
+        ),
+        max_size=4,
+    ),
+    status=st.sampled_from(["ok", "partial", "timed_out"]),
+)
+def test_merge_values_are_the_sorted_union_of_the_groups(groups, status):
+    router = _bare_router()
+    answers = [
+        _GroupAnswer(
+            (f"s{i}",), backend_id=f"b{i % 2}",
+            response=QueryResponse(
+                status=status if i == 0 else "ok", values=values,
+                n_results=None if values is None else len(values),
+                latency_ms=1.0, shards_queried=1,
+                failed_shards=(f"x{i}",), degraded_terms=(f"t{i}",),
+            ),
+        )
+        for i, values in enumerate(groups)
+    ]
+    merged = asyncio.run(_run_merge(router, answers))
+    if not groups:
+        assert merged.status == "failed" and merged.values is None
+        assert merged.n_results is None
+        return
+    want = sorted(set().union(*(g for g in groups if g is not None)))
+    assert merged.values == want
+    assert [type(v) for v in merged.values] == [int] * len(want)
+    assert merged.n_results == len(want)
+    assert merged.status == status
+    assert merged.failed_shards == tuple(f"x{i}" for i in range(len(groups)))
+    assert merged.degraded_terms == tuple(f"t{i}" for i in range(len(groups)))
+    assert merged.detail["replicas"] == {"answered": len(groups), "of": len(groups)}
+    assert "failed_backends" not in merged.detail
 
 
 def test_merge_treats_answered_failed_as_degraded_not_timed_out():
