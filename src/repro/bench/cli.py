@@ -44,12 +44,6 @@ def main(argv: list[str] | None = None) -> int:
         "--csv", action="store_true", help="dump raw CSV instead of tables"
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="dump one JSON object {experiment: [rows...]} instead of "
-        "tables — for scripted consumers (the CI smoke job parses this)",
-    )
-    parser.add_argument(
         "--scatter",
         action="store_true",
         help="render time-vs-space ASCII scatters (the paper's figure "
@@ -84,7 +78,6 @@ def main(argv: list[str] | None = None) -> int:
     wanted = list(args.experiments)
     if "all" in wanted:
         wanted = list(EXPERIMENTS)
-    json_out: dict[str, list] = {}
     for exp_id in wanted:
         if exp_id == "history":
             print(history_table())
@@ -96,14 +89,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.quick:
             kwargs = _quick_kwargs(exp_id)
         kwargs.update(_scale_kwargs(exp_id, args))
-        if not args.json:
-            print(f"=== {exp_id}: {fn.__doc__.strip().splitlines()[0]} ===")
+        print(f"=== {exp_id}: {fn.__doc__.strip().splitlines()[0]} ===")
         rows = fn(**kwargs)
         if args.svg:
             _write_svgs(args.svg, exp_id, rows, metrics)
-        if args.json:
-            json_out[exp_id] = [r.as_dict() for r in rows]
-            continue
         if args.csv:
             print(to_csv(rows))
             continue
@@ -116,10 +105,6 @@ def main(argv: list[str] | None = None) -> int:
             continue
         for metric in metrics:
             print(format_table(rows, metric, title=f"[{_METRIC_TITLES[metric]}]"))
-    if args.json:
-        import json
-
-        print(json.dumps(json_out, indent=1))
     return 0
 
 
@@ -181,37 +166,6 @@ def _quick_kwargs(exp_id: str) -> dict:
         return {"n_docs": 50_000, "n_queries": 10, "repeat": 1}
     if exp_id == "fig7":
         return {"long_size": 5_000, "repeat": 1}
-    if exp_id == "served":
-        return {"n_terms": 8, "list_size": 800, "n_queries": 16, "repeat": 1}
-    if exp_id == "closed_loop":
-        return {
-            "n_terms": 8,
-            "list_size": 500,
-            "clients": 4,
-            "requests_per_client": 6,
-            "queue_depth": 8,
-            "repeat": 1,
-        }
-    if exp_id == "churn":
-        return {
-            "n_terms": 8,
-            "list_size": 400,
-            "clients": 3,
-            "requests_per_client": 8,
-            "ingest_batches": 8,
-            "ops_per_batch": 6,
-            "repeat": 1,
-        }
-    if exp_id == "cluster":
-        return {
-            "n_terms": 8,
-            "list_size": 400,
-            "clients": 4,
-            "requests_per_client": 8,
-            "slow_shard_ms": 150.0,
-            "hedge_max_ms": 40.0,
-            "repeat": 1,
-        }
     return {"repeat": 1}
 
 

@@ -8,7 +8,6 @@ same tables/series the paper prints.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -107,79 +106,6 @@ def bench_pair(
             if not np.array_equal(got, expected_u):
                 raise AssertionError(f"{name}: wrong union result")
             row.union_ms = measure_ms(lambda: codec.union(ca, cb), repeat=repeat)
-        rows.append(row)
-    return rows
-
-
-def bench_served(
-    terms: dict[str, np.ndarray],
-    queries: Sequence,
-    universe: int,
-    codecs: Sequence[str] | None = None,
-    workload: str = "served",
-    workers: int = 4,
-    cache_entries: int = 1024,
-) -> list[MetricRow]:
-    """Served-mode measurement: the same query batch, cold then warm.
-
-    For each codec the term lists are loaded into a one-shard
-    :class:`repro.store.PostingStore` and the batch is executed twice
-    through a :class:`repro.store.QueryEngine` with a fresh decode
-    cache: the first pass decodes everything (cold), the second serves
-    hot terms from the cache (warm).  ``intersect_ms`` reports the cold
-    batch wall time; ``extra`` carries the warm time, the cold/warm
-    speedup, and the cache hit rate — the serving-layer numbers the
-    paper's one-shot harness cannot produce.
-
-    Results are differentially checked across codecs: every codec must
-    return the same result size for every query in the batch.
-    """
-    from repro.store.cache import DecodeCache
-    from repro.store.engine import QueryEngine
-    from repro.store.store import PostingStore
-
-    expected_sizes: list[int] | None = None
-    rows = []
-    for name in resolve_codecs(codecs):
-        store = PostingStore()
-        shard = store.create_shard("bench", codec=name, universe=universe)
-        for term, values in terms.items():
-            shard.add(term, values)
-        engine = QueryEngine(
-            store,
-            cache=DecodeCache(max_entries=cache_entries),
-            max_workers=workers,
-            cache_probes=True,
-        )
-        t0 = time.perf_counter()
-        cold = engine.execute_batch(queries)
-        cold_ms = (time.perf_counter() - t0) * 1000.0
-        t0 = time.perf_counter()
-        warm = engine.execute_batch(queries)
-        warm_ms = (time.perf_counter() - t0) * 1000.0
-        sizes = [int(r.values.size) for r in cold]
-        if any(not r.ok for r in cold) or any(not r.ok for r in warm):
-            raise AssertionError(f"{name}: served batch had degraded queries")
-        if [int(r.values.size) for r in warm] != sizes:
-            raise AssertionError(f"{name}: warm results diverge from cold")
-        if expected_sizes is None:
-            expected_sizes = sizes
-        elif sizes != expected_sizes:
-            raise AssertionError(f"{name}: served results diverge across codecs")
-        codec = store.shard("bench").codec
-        row = MetricRow(
-            name,
-            codec.family if name != "Adaptive" else "hybrid",
-            workload,
-            space_bytes=shard.size_bytes,
-        )
-        row.intersect_ms = cold_ms
-        stats = engine.cache.stats()
-        row.extra = {
-            "warm_ms": warm_ms,
-            "speedup": cold_ms / warm_ms if warm_ms else float("inf"),
-            "cache_hit_rate": stats.hit_rate,
-        }
         rows.append(row)
     return rows
 

@@ -345,11 +345,17 @@ class ClusterRouter(JsonHttpServer):
             extra = ((DEADLINE_HEADER, deadline_raw),)
         t0 = loop.time()
         self.metrics.fanout_requests += 1
-        status, resp_headers, parsed = await self._backend_json(
-            backend_id, "POST", "/query", sub.to_body(), extra
-        )
-        latency_ms = (loop.time() - t0) * 1000.0
         stats = self.metrics.backend(backend_id)
+        try:
+            status, resp_headers, parsed = await self._backend_json(
+                backend_id, "POST", "/query", sub.to_body(), extra
+            )
+        except BackendUnavailableError:
+            # Refused, reset, timed out: a failure like a bad status.  A
+            # cancelled hedge loser raises CancelledError and is not one.
+            stats.record_failure()
+            raise
+        latency_ms = (loop.time() - t0) * 1000.0
         if status == 503:
             retry_after = resp_headers.get("retry-after")
             try:

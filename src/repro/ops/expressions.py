@@ -193,7 +193,7 @@ def evaluate(
             compressed domain, keeping intermediates compressed until a
             consumer needs positions (the default).  ``False`` forces the
             decode / SvS-probe paths everywhere — the paper's Figures
-            4–6 regime and the perf gate's baseline arm.
+            4–6 regime and the differential suite's reference arm.
         stats: receives the per-evaluation operator counters.
     """
     run = _Evaluation(

@@ -308,7 +308,7 @@ class JsonHttpServer:
 class BackgroundServer:
     """Run a :class:`JsonHttpServer` on a dedicated event-loop thread.
 
-    Usage (tests, benchmarks, the closed-loop experiments)::
+    Usage (tests and in-process embedding)::
 
         with BackgroundServer(StoreServer(engine)) as server:
             client = connect(f"http://127.0.0.1:{server.port}")

@@ -126,19 +126,18 @@ class QueryEngine:
         max_workers: batch worker-pool width.
         timeout_s: default per-query deadline in seconds (``None`` =
             unbounded); :meth:`execute` can override it per request.
-        cache_probes: forward to :meth:`ShardPlan.execute` — decode AND
-            probe leaves through the cache instead of compressed probes.
-        compressed_ops: forward to :meth:`ShardPlan.execute` — evaluate
-            operators over same-codec operands with the codec's declared
-            compressed-domain kernels (the default).  ``False`` forces
-            the decode/probe baseline everywhere, which is what the perf
-            gate's decode-then-intersect arm measures.
         shard_delays: fault-injection hook — shard name → seconds slept
-            before that shard is evaluated.  Lets tests, benchmarks, and
-            the CI smoke job model a slow shard without touching codec
-            code; the cooperative deadline check runs *before* the
+            before that shard is evaluated.  Lets tests and the server's
+            ``--slow-shard`` flag model a slow shard without touching
+            codec code; the cooperative deadline check runs *before* the
             injected sleep, exactly as it does for a genuinely slow
             shard evaluation.
+
+    Every shard runs the default plan of :meth:`ShardPlan.execute`:
+    compressed-domain kernels where the codec declares them, decode and
+    probe elsewhere.  The decode-then-merge reference regime is
+    ``ShardPlan.execute(compressed=False)`` /
+    ``repro.ops.evaluate(..., compressed=False)``.
     """
 
     def __init__(
@@ -150,8 +149,6 @@ class QueryEngine:
         metrics: StoreMetrics | None = None,
         max_workers: int = DEFAULT_WORKERS,
         timeout_s: float | None = None,
-        cache_probes: bool = False,
-        compressed_ops: bool = True,
         shard_delays: Mapping[str, float] | None = None,
     ) -> None:
         if max_workers < 1:
@@ -168,8 +165,6 @@ class QueryEngine:
             self.metrics.attach_plan_cache(self.plan_cache)
         self.max_workers = max_workers
         self.timeout_s = timeout_s
-        self.cache_probes = cache_probes
-        self.compressed_ops = compressed_ops
         self.shard_delays = dict(shard_delays) if shard_delays else {}
         self._pool: ThreadPoolExecutor | None = None
         self._pool_lock = maybe_witness(
@@ -431,11 +426,7 @@ class QueryEngine:
                     observer=self.metrics,
                 )
                 arr = plan.execute(
-                    cache=self.cache,
-                    observer=self.metrics,
-                    cache_probes=self.cache_probes,
-                    compressed=self.compressed_ops,
-                    stats=stats,
+                    cache=self.cache, observer=self.metrics, stats=stats
                 )
             except Exception as exc:  # repro: noqa[REPRO106] -- graceful degradation: shard marked failed, error carried in the result status
                 failed.append(shard)

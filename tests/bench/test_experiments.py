@@ -26,8 +26,7 @@ def workloads_of(rows):
 def test_experiment_registry_covers_every_table_and_figure():
     assert set(ex.EXPERIMENTS) == {
         "fig3", "tab1", "tab2", "tab3", "fig4", "fig5", "fig6", "fig7",
-        "fig8", "fig9", "fig10", "fig11", "fig12", "served", "closed_loop",
-        "churn", "cluster",
+        "fig8", "fig9", "fig10", "fig11", "fig12",
     }
 
 
@@ -108,60 +107,3 @@ def test_default_codec_coverage_is_full_registry():
     rows = ex.figure12(repeat=1)
     assert codecs_of(rows) == set(all_codec_names())
 
-
-def test_served_experiment_rows():
-    rows = ex.served(
-        codecs=FAST, n_terms=6, list_size=300, n_queries=8, domain=2**14
-    )
-    assert codecs_of(rows) == set(FAST)
-    for row in rows:
-        assert row.workload == "served"
-        assert row.intersect_ms >= 0  # cold batch wall time
-        assert row.extra["warm_ms"] >= 0
-        assert row.extra["speedup"] > 0
-        assert 0.0 <= row.extra["cache_hit_rate"] <= 1.0
-
-
-def test_closed_loop_experiment_rows():
-    rows = ex.closed_loop(
-        codecs=["Roaring"],
-        n_terms=4,
-        list_size=200,
-        domain=2**12,
-        clients=3,
-        requests_per_client=4,
-        slow_shard_ms=0.0,
-    )
-    assert codecs_of(rows) == {"Roaring"}
-    (row,) = rows
-    assert row.workload == "closed_loop"
-    extra = row.extra
-    assert extra["offered"] == 12
-    assert extra["accepted"] + extra["shed"] == extra["offered"]
-    assert 0.0 <= extra["shed_rate"] <= 1.0
-    assert extra["p99_ms"] >= extra["p50_ms"] >= 0
-    assert extra["throughput_qps"] > 0
-    assert sum(extra["statuses"].values()) == 12
-
-
-def test_churn_experiment_rows():
-    rows = ex.churn(
-        codecs=["Roaring"],
-        n_terms=4,
-        list_size=200,
-        domain=2**12,
-        clients=2,
-        requests_per_client=4,
-        ingest_batches=4,
-        ops_per_batch=3,
-    )
-    assert [r.codec for r in rows] == ["Roaring"]
-    for row in rows:
-        assert row.workload == "churn"
-        extra = row.extra
-        assert extra["acked_ops"] == 12  # 4 batches × 3 ops, all durable
-        assert extra["compactions"] >= 1  # at least the preload compaction
-        assert extra["query_p99_ms"] >= extra["query_p50_ms"] >= 0
-        assert extra["ingest_p99_ms"] >= extra["ingest_p50_ms"] >= 0
-        assert not extra["statuses"].get("failed")
-        assert row.space_bytes > 0

@@ -83,12 +83,20 @@ def test_healthz_and_metrics_report_the_router_role(cluster_factory):
 # ----------------------------------------------------------------------
 def test_replicated_cluster_survives_a_dead_backend(cluster_factory):
     cluster = cluster_factory(n_backends=3, replication=2)
-    baseline = _query(cluster.port)
+    baseline = QueryEngine(make_store(4)).execute("a")
+    # No traffic yet, so every group ranks its placement primary first:
+    # b1 (primary of s0/s1) is tried, refuses, and its replica answers.
+    dead = cluster.router.metrics.backend("b1")
+    before = (dead.requests, dead.failures)
     cluster.backend_bgs[1].stop()
     survived = _query(cluster.port)
     assert survived.status == "ok"
-    assert survived.values == baseline.values
+    assert survived.values == sorted(int(v) for v in baseline.values)
     assert survived.failed_shards == ()
+    # The refused exchange is counted; every request since the stop failed.
+    failures = dead.failures - before[1]
+    assert failures >= 1
+    assert dead.requests - before[0] == failures
 
 
 def test_unreplicated_cluster_degrades_to_partial_with_attribution(

@@ -114,6 +114,20 @@ def test_probe_values_below_first_block(rng):
     assert codec.intersect_with_array(cs, probes).size == 0
 
 
+@pytest.mark.parametrize("name", ["Simple9", "Simple16", "Simple8b", "GroupVB"])
+def test_batched_decoder_replaces_scalar_block_loop(name, rng, monkeypatch):
+    """These codecs decode whole lists in one vectorised pass; the
+    generic block-by-block loop must never run for them."""
+
+    def scalar_loop(self, payload, n):  # pragma: no cover - should not run
+        raise AssertionError(f"{name} fell back to the scalar block loop")
+
+    monkeypatch.setattr(BlockedInvListCodec, "_decode_all", scalar_loop)
+    codec = get_codec(name)
+    values = sorted_unique(rng, 1_000, 1_000_000)  # 7 full blocks + a partial
+    assert np.array_equal(codec.roundtrip(values), values)
+
+
 def test_every_blocked_codec_decodes_single_block(invlist_codec, rng):
     if not isinstance(invlist_codec, BlockedInvListCodec):
         pytest.skip("not a blocked codec")

@@ -221,11 +221,13 @@ def test_exec_op_counters_by_mode():
         "compressed": result.compressed_ops,
         "decoded": 0,
     }
-    off = QueryEngine(store, compressed_ops=False)
-    result = off.execute(And("even", "third"))
+    # SIMDBP128* declares no compressed AND: the driver leaf is decoded.
+    probe = QueryEngine(_sharded_store("SIMDBP128*"))
+    result = probe.execute(And("even", "third"))
     assert result.ok
+    assert np.array_equal(result.values, np.intersect1d(EVEN, THIRD))
     assert result.decoded_ops > 0
-    assert off.metrics.snapshot()["exec_ops"]["decoded"] == result.decoded_ops
+    assert probe.metrics.snapshot()["exec_ops"]["decoded"] == result.decoded_ops
 
 
 def test_plan_cache_hit_reports_zero_exec_ops():

@@ -190,7 +190,7 @@ def test_served_engine_matches_reference(codec_name, backing, tmp_path):
     if backing == "mapped":
         store.save(tmp_path / "v3")
         store = PostingStore.load(tmp_path / "v3")
-    engine = QueryEngine(store, cache=DecodeCache(), cache_probes=True)
+    engine = QueryEngine(store, cache=DecodeCache())
     cases = {
         "a": terms["a"],
         And("a", "b"): _ref_and(terms["a"], terms["b"]),
@@ -211,11 +211,19 @@ def test_served_engine_matches_reference(codec_name, backing, tmp_path):
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("backing", ["in-heap", "mapped"])
 def test_compressed_and_decoded_execution_agree(codec_name, backing, tmp_path):
-    """The full registry matrix: engine results with compressed-domain
-    execution ON are bit-exact with the decode-then-merge baseline
-    (``compressed_ops=False, cache_probes=True``) and the numpy
-    reference, from both the in-heap table and a mapped v3 segment."""
-    from repro.store import And, Or, PostingStore, QueryEngine
+    """The full registry matrix: engine results (compressed-domain
+    execution is the default plan) are bit-exact with the
+    decode-then-merge baseline (``ShardPlan.execute(compressed=False,
+    cache_probes=True)``) and the numpy reference, from both the in-heap
+    table and a mapped v3 segment."""
+    from repro.store import (
+        And,
+        DecodeCache,
+        Or,
+        PostingStore,
+        QueryEngine,
+        compile_shard_plan,
+    )
 
     rng = np.random.default_rng(SEED + 4)
     terms = {
@@ -231,8 +239,7 @@ def test_compressed_and_decoded_execution_agree(codec_name, backing, tmp_path):
     if backing == "mapped":
         store.save(tmp_path / "v3")
         store = PostingStore.load(tmp_path / "v3")
-    compressed = QueryEngine(store)  # compressed execution is the default
-    baseline = QueryEngine(store, compressed_ops=False, cache_probes=True)
+    engine = QueryEngine(store)
     cases = {
         And("a", "b"): _ref_and(terms["a"], terms["b"]),
         And("d", "b", "c"): _ref_and(terms["d"], terms["b"], terms["c"]),
@@ -245,16 +252,22 @@ def test_compressed_and_decoded_execution_agree(codec_name, backing, tmp_path):
         ),
     }
     for expr, want in cases.items():
-        on = compressed.execute(expr)
-        off = baseline.execute(expr)
-        assert on.ok and off.ok, (on.error, off.error)
+        on = engine.execute(expr)
+        assert on.ok, on.error
+        off = compile_shard_plan(store, "s0", expr).execute(
+            cache=DecodeCache(), cache_probes=True, compressed=False
+        )
         assert np.array_equal(on.values, want), expr
-        assert np.array_equal(off.values, want), expr
+        assert np.array_equal(off, want), expr
 
 
-def test_counter_signatures_split_by_capability(codec_name):
+def test_counter_signatures_split_by_capability(codec_name, tmp_path):
     """Capable codecs run a selective AND entirely in the compressed
-    domain; probe-only codecs decode the driver leaf and probe the rest."""
+    domain; probe-only codecs decode the driver leaf and probe the rest —
+    from the in-heap table and from a mapped v3 segment alike.
+
+    A loop over the backing rather than ``parametrize`` so the per-codec
+    test ids stay what they were."""
     from repro.api import codec_capabilities
     from repro.store import And, PostingStore, QueryEngine
 
@@ -263,13 +276,18 @@ def test_counter_signatures_split_by_capability(codec_name):
     shard = store.create_shard("s0", codec=get_codec(codec_name), universe=DOMAIN)
     shard.add("x", uniform_list(700, DOMAIN, rng=rng))
     shard.add("y", uniform_list(2_000, DOMAIN, rng=rng))
-    result = QueryEngine(store).execute(And("x", "y"))
-    assert result.ok, result.error
-    assert result.compressed_ops > 0
-    if Capability.INTERSECT_COMPRESSED in codec_capabilities(codec_name):
-        assert result.decoded_ops == 0
-    else:
-        assert result.decoded_ops > 0
+    store.save(tmp_path / "v3")
+    for backing, served in (
+        ("in-heap", store),
+        ("mapped", PostingStore.load(tmp_path / "v3")),
+    ):
+        result = QueryEngine(served).execute(And("x", "y"))
+        assert result.ok, (backing, result.error)
+        assert result.compressed_ops > 0, backing
+        if Capability.INTERSECT_COMPRESSED in codec_capabilities(codec_name):
+            assert result.decoded_ops == 0, backing
+        else:
+            assert result.decoded_ops > 0, backing
 
 
 #: Codecs whose compressed-domain kernels the planner can select.
